@@ -4,6 +4,11 @@ A strategy sees only the register and the qubit sequences in flight; it has
 no access to key material or to either party's private records. Strategies
 that set `bypasses_bob` capture the forward sequence and answer Alice
 directly, so Bob never runs.
+
+`ATTACKS` is the catalogue of the attacks a configuration can name: how a
+trial builds each one, its parameters, the variants it applies to, and its
+closed-form detection probability. The CLI, configuration checks, trial
+construction and analytic references all read it.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 from random import Random
 
 from .keys import interleave
+from .protocol import Variant
 from .qsim import BellState, Pauli, QuantumRegister
 
 
@@ -25,13 +31,6 @@ class AttackStrategy:
 
     def tamper_backward(self, register: QuantumRegister, qubits):
         return qubits
-
-    def params(self) -> dict:
-        return {}
-
-
-def no_attack() -> AttackStrategy:
-    return AttackStrategy()
 
 
 class ImpersonateAlice(AttackStrategy):
@@ -87,9 +86,6 @@ class ImpersonateBobIdealized(AttackStrategy):
                 out.append(register.alloc_qubit(self.rng.randrange(2)))
         return out
 
-    def params(self):
-        return {"mode": "idealized"}
-
 
 class ImpersonateBobConcrete(AttackStrategy):
     """Receiver impersonation by blind guessing: Eve captures the whole
@@ -109,9 +105,6 @@ class ImpersonateBobConcrete(AttackStrategy):
 
     def tamper_backward(self, register, qubits):
         return self.rng.sample(self._captured, len(self._captured) // 2)
-
-    def params(self):
-        return {"mode": "concrete"}
 
 
 class InterceptResend(AttackStrategy):
@@ -145,9 +138,6 @@ class ModifySingleQubit(AttackStrategy):
         register.apply_pauli(qubits[self.target], Pauli.IY)
         return qubits
 
-    def params(self):
-        return {"target": self.target}
-
 
 class ReflectAll(AttackStrategy):
     """Eve captures the forward sequence, bypasses Bob, and returns every
@@ -167,25 +157,120 @@ class ReflectAll(AttackStrategy):
         return list(self._captured)
 
 
-def impersonate_alice(rng: Random) -> ImpersonateAlice:
-    return ImpersonateAlice(rng)
+# -- the catalogue -------------------------------------------------------------
 
 
-def impersonate_bob(mode: str, rng: Random) -> AttackStrategy:
-    if mode == "idealized":
-        return ImpersonateBobIdealized(rng)
-    if mode == "concrete":
-        return ImpersonateBobConcrete(rng)
-    raise ValueError(f"unknown impersonate_bob mode {mode!r}")
+class Param:
+    """One attack parameter: its default, the symbolic values it takes, and
+    whether an int position 0..n-1 is allowed too."""
+
+    def __init__(self, default: str, choices: tuple[str, ...], help: str, position=False):
+        self.default, self.choices, self.help, self.position = default, choices, help, position
+
+    def values(self) -> str:
+        marked = [f"{c} (default)" if c == self.default else c for c in self.choices]
+        return " | ".join(marked + ["a position 0..n-1"] * self.position)
+
+    def check(self, key: str, value, n: int) -> None:
+        is_position = self.position and type(value) is int and 0 <= value < n
+        if value not in self.choices and not is_position:
+            raise ValueError(f"bad {key} {value!r} at n={n}; expected {self.values()}")
 
 
-def intercept_resend() -> InterceptResend:
-    return InterceptResend()
+class Attack:
+    """One catalogue entry. `build_strategy(params, rng, k1)` makes a trial's
+    strategy from the parameters with defaults filled in; `closed_form(variant,
+    n, params)` gives (detection probability, formula), or None if unknown."""
+
+    def __init__(self, build_strategy, params=None, variants=tuple(Variant), closed_form=None):
+        self.build_strategy = build_strategy
+        self.params = params or {}
+        self.variants = variants
+        self.closed_form = closed_form or (lambda variant, n, params: None)
+
+    def resolve(self, params: dict) -> dict:
+        return {key: params.get(key, p.default) for key, p in self.params.items()}
+
+    def build(self, params: dict, rng: Random, k1) -> AttackStrategy:
+        """A fresh strategy for one trial; its random choices come from rng."""
+        return self.build_strategy(self.resolve(params), rng, k1)
+
+    def check(self, variant: Variant, n: int, params) -> None:
+        """Raise ValueError unless the variant and parameters fit this attack."""
+        if variant not in self.variants:
+            raise ValueError(f"applies only to {' / '.join(v.value for v in self.variants)}")
+        if not isinstance(params, dict):
+            raise ValueError(f"parameters must be a mapping, got {params!r}")
+        for key, value in params.items():
+            if key not in self.params:
+                takes = ", ".join(self.params) or "none"
+                raise ValueError(f"unknown parameter {key!r}; takes {takes}")
+            self.params[key].check(key, value, n)
+
+    def analytic(self, variant: Variant, n: int, params: dict):
+        """(probability, formula) of the closed form, or (None, None)."""
+        return self.closed_form(variant, n, self.resolve(params)) or (None, None)
 
 
-def modify_single(target: int) -> ModifySingleQubit:
+def _modify_single(params, rng: Random, k1) -> ModifySingleQubit:
+    """Resolve a symbolic target against the trial's key layout here, so the
+    strategy itself never sees key material."""
+    target = params["target"]
+    if target == "random":
+        target = rng.randrange(len(k1))
+    elif target == "c":
+        target = rng.choice([i for i, b in enumerate(k1) if b == 1])
+    elif target in ("s", "s_msg"):
+        positions = [i for i, b in enumerate(k1) if b == 0]
+        if target == "s_msg":
+            # message-half block bits sit in the first half of the message stream
+            positions = positions[: len(k1) // 4]
+        target = rng.choice(positions)
     return ModifySingleQubit(target)
 
 
-def reflect_all() -> ReflectAll:
-    return ReflectAll()
+_RAND = Variant.RANDOMIZATION
+
+ATTACKS = {
+    "no_attack": Attack(
+        lambda p, rng, k1: AttackStrategy(),
+        closed_form=lambda v, n, p: (0.0, "honest runs are never rejected") if v is _RAND
+        else (0.5 ** (n / 4), "reflect-flag false positive (1/2)^(n/4)"),
+    ),
+    "impersonate_alice": Attack(lambda p, rng, k1: ImpersonateAlice(rng)),
+    "impersonate_bob": Attack(
+        lambda p, rng, k1: (
+            ImpersonateBobIdealized if p["mode"] == "idealized" else ImpersonateBobConcrete
+        )(rng),
+        params={"mode": Param(
+            "idealized", ("idealized", "concrete"),
+            "idealized: keep each returned qubit w.p. 1/2; concrete: bypass Bob, guess blindly",
+        )},
+        closed_form=lambda v, n, p: (1.0 - 0.625 ** (n / 2), "1-(5/8)^(n/2)")
+        if v is _RAND and p["mode"] == "idealized" else None,
+    ),
+    "intercept_resend": Attack(
+        lambda p, rng, k1: InterceptResend(),
+        closed_form=lambda v, n, p: (1.0 - 0.5 ** (n / 2), "1-(1/2)^(n/2)")
+        if v is _RAND else None,
+    ),
+    "modify_single": Attack(
+        _modify_single,
+        params={"target": Param(
+            "random", ("random", "s", "c", "s_msg"),
+            "forward qubit to flip; s, c, s_msg: random message, checking, message-half slot",
+            position=True,
+        )},
+        closed_form=lambda v, n, p: {
+            "c": (1.0, "Phi+ <-> Psi- flip is orthogonal to the recorded state"),
+            "s_msg": (1.0 - 0.5 ** (n / 8), "1-2^(-n/8) checksum mismatch"),
+        }.get(p["target"]),
+    ),
+    "reflect_all": Attack(
+        lambda p, rng, k1: ReflectAll(),
+        variants=(Variant.MEASURE_RESEND,),
+        closed_form=lambda v, n, p: (
+            1.0, "all-reflected message pairs always match their initial states"
+        ),
+    ),
+}

@@ -11,9 +11,8 @@ import argparse
 import os
 import sys
 
+from .adversary import ATTACKS
 from .harness import (
-    ATTACK_NAMES,
-    ATTACK_PARAM_HELP,
     ConfigError,
     ExperimentConfig,
     analytic_detection,
@@ -47,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a Monte Carlo experiment")
     run.add_argument("--variant", choices=[v.value for v in Variant], required=True)
-    run.add_argument("--attack", required=True, choices=ATTACK_NAMES)
+    run.add_argument("--attack", required=True, choices=tuple(ATTACKS))
     run.add_argument(
         "--attack-param",
         action="append",
@@ -63,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", help="output path; default stdout")
 
     analytic = sub.add_parser("analytic", help="print a closed-form detection probability")
-    analytic.add_argument("--attack", required=True, choices=ATTACK_NAMES)
+    analytic.add_argument("--attack", required=True, choices=tuple(ATTACKS))
     analytic.add_argument("--n", type=int, required=True)
     analytic.add_argument(
         "--variant", choices=[v.value for v in Variant], default=Variant.RANDOMIZATION.value
@@ -94,9 +93,7 @@ def main(argv=None) -> int:
                 trials=args.trials,
                 seed=args.seed,
                 message=args.message,
-                output_format=args.format,
             )
-            config.validate()
             stats = run_experiment(config)
             if args.out:
                 try:
@@ -118,13 +115,13 @@ def main(argv=None) -> int:
             else:
                 print(f"{prob!r}  ({formula})")
         elif args.command == "list-attacks":
-            for name in ATTACK_NAMES:
-                params = ATTACK_PARAM_HELP[name]
-                if params:
-                    detail = "; ".join(f"{k}: {v}" for k, v in params.items())
-                    print(f"{name}  [{detail}]")
-                else:
-                    print(name)
+            for name, entry in ATTACKS.items():
+                line = name
+                if len(entry.variants) < len(Variant):
+                    line += f"  ({' / '.join(v.value for v in entry.variants)} only)"
+                for key, param in entry.params.items():
+                    line += f"\n    {key}: {param.values()}\n      {param.help}"
+                print(line)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,6 +17,8 @@ HASH_NAME = "sha256"
 
 MIN_SEQUENCE_BITS = 16  # below this the checksum degenerates to < 2 bits
 
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
 
 def pack_bits(bits) -> bytes:
     """Byte-pack a bit sequence: 16-bit big-endian length prefix, then the
@@ -99,7 +101,9 @@ def bits_to_hex(bits) -> str:
 
 
 def hex_to_bits(text: str, nbits: int):
-    """First nbits of the bit expansion of a hex string."""
+    """First nbits of the bit expansion of a string of hex digits."""
+    if not isinstance(text, str) or not _HEX_DIGITS.issuperset(text):
+        raise ValueError(f"not a string of hex digits: {text!r}")
     if len(text) * 4 < nbits:
         raise ValueError(f"need at least {nbits} bits, got {len(text) * 4}")
     value = int(text, 16)

@@ -16,14 +16,7 @@ from math import sqrt
 from random import Random
 
 from . import __version__
-from .adversary import (
-    impersonate_alice,
-    impersonate_bob,
-    intercept_resend,
-    modify_single,
-    no_attack,
-    reflect_all,
-)
+from .adversary import ATTACKS, Attack
 from .codec import HASH_NAME, bits_to_hex, hex_to_bits, random_bits
 from .keys import KeyMaterial, gen_keys
 from .protocol import DetectionCause, Variant, run_session
@@ -35,28 +28,6 @@ class ConfigError(ValueError):
     """Invalid experiment or session configuration."""
 
 
-ATTACK_NAMES = (
-    "no_attack",
-    "impersonate_alice",
-    "impersonate_bob",
-    "intercept_resend",
-    "modify_single",
-    "reflect_all",
-)
-
-ATTACK_PARAM_HELP = {
-    "no_attack": {},
-    "impersonate_alice": {},
-    "impersonate_bob": {"mode": "idealized (default) or concrete"},
-    "intercept_resend": {},
-    "modify_single": {
-        "target": "position index, or one of random / s / c / s_msg "
-        "(resolved against the trial's key layout)"
-    },
-    "reflect_all": {},
-}
-
-
 @dataclass
 class ExperimentConfig:
     variant: Variant
@@ -66,31 +37,31 @@ class ExperimentConfig:
     seed: int
     attack_params: dict = field(default_factory=dict)
     message: str | None = None  # fixed message as hex; None = random per trial
-    output_format: str = "json"
 
     def validate(self) -> None:
-        if self.n % 8 != 0 or self.n < 16:
-            raise ConfigError(f"n must be a multiple of 8 and at least 16, got {self.n}")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
-        if self.attack not in ATTACK_NAMES:
-            raise ConfigError(f"unknown attack {self.attack!r}")
-        if self.attack == "reflect_all" and self.variant is not Variant.MEASURE_RESEND:
-            raise ConfigError("reflect_all applies only to the measure-resend variant")
-        if self.output_format not in ("json", "csv"):
-            raise ConfigError(f"unknown output format {self.output_format!r}")
-        mode = self.attack_params.get("mode", "idealized")
-        if self.attack == "impersonate_bob" and mode not in ("idealized", "concrete"):
-            raise ConfigError(f"unknown impersonate_bob mode {mode!r}")
-        if self.attack == "modify_single":
-            target = self.attack_params.get("target", "random")
-            if not isinstance(target, int) and target not in ("random", "s", "c", "s_msg"):
-                raise ConfigError(f"bad modify_single target {target!r}")
+        _attack_entry(self.attack, self.variant, self.n, self.attack_params)
         if self.message is not None:
             try:
                 hex_to_bits(self.message, self.n // 8)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
+
+
+def _attack_entry(attack, variant: Variant, n: int, params) -> Attack:
+    """Check n and the attack's variant and parameters against the catalogue;
+    return the attack's entry."""
+    if type(n) is not int or n % 8 != 0 or n < 16:
+        raise ConfigError(f"n must be a multiple of 8 and at least 16, got {n!r}")
+    if not isinstance(attack, str) or attack not in ATTACKS:
+        raise ConfigError(f"unknown attack {attack!r}")
+    entry = ATTACKS[attack]
+    try:
+        entry.check(variant, n, params)
+    except ValueError as exc:
+        raise ConfigError(f"{attack}: {exc}") from None
+    return entry
 
 
 @dataclass
@@ -125,67 +96,11 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z_99):
 def analytic_detection(attack: str, variant: Variant, n: int, params: dict | None = None):
     """Closed-form detection probability where one exists, else (None, None).
 
-    Returns (probability, formula tag).
+    Returns (probability, formula tag). Raises ConfigError on an invalid
+    attack, variant, n or parameter.
     """
-    params = params or {}
-    if attack not in ATTACK_NAMES:
-        raise ConfigError(f"unknown attack {attack!r}")
-    if attack == "no_attack":
-        if variant is Variant.RANDOMIZATION:
-            return 0.0, "honest runs are never rejected"
-        return 0.5 ** (n / 4), "reflect-flag false positive (1/2)^(n/4)"
-    if attack == "intercept_resend" and variant is Variant.RANDOMIZATION:
-        return 1.0 - 0.5 ** (n / 2), "1-(1/2)^(n/2)"
-    if attack == "impersonate_bob" and params.get("mode", "idealized") == "idealized":
-        if variant is Variant.RANDOMIZATION:
-            return 1.0 - 0.625 ** (n / 2), "1-(5/8)^(n/2)"
-    if attack == "reflect_all" and variant is Variant.MEASURE_RESEND:
-        return 1.0, "all-reflected message pairs always match their initial states"
-    if attack == "modify_single":
-        target = params.get("target")
-        if target == "c":
-            return 1.0, "Phi+ <-> Psi- flip is orthogonal to the recorded state"
-        if target == "s_msg":
-            return 1.0 - 0.5 ** (n / 8), "1-2^(-n/8) checksum mismatch"
-    return None, None
-
-
-def _resolve_target(kind, k1, rng: Random) -> int:
-    """Turn a symbolic modify_single target into a position index for one
-    trial's key layout. Resolution happens harness-side; the strategy itself
-    never sees key material."""
-    if isinstance(kind, int):
-        return kind
-    n = len(k1)
-    if kind == "random":
-        return rng.randrange(n)
-    if kind == "c":
-        positions = [i for i, b in enumerate(k1) if b == 1]
-        return rng.choice(positions)
-    s_positions = [i for i, b in enumerate(k1) if b == 0]
-    if kind == "s":
-        return rng.choice(s_positions)
-    if kind == "s_msg":
-        # message-half block bits sit in the first half of the message stream
-        return rng.choice(s_positions[: n // 4])
-    raise ConfigError(f"bad modify_single target {kind!r}")
-
-
-def build_attack(name: str, params: dict, rng: Random, keys: KeyMaterial):
-    if name == "no_attack":
-        return no_attack()
-    if name == "impersonate_alice":
-        return impersonate_alice(rng)
-    if name == "impersonate_bob":
-        return impersonate_bob(params.get("mode", "idealized"), rng)
-    if name == "intercept_resend":
-        return intercept_resend()
-    if name == "modify_single":
-        target = _resolve_target(params.get("target", "random"), keys.k1, rng)
-        return modify_single(target)
-    if name == "reflect_all":
-        return reflect_all()
-    raise ConfigError(f"unknown attack {name!r}")
+    params = {} if params is None else params
+    return _attack_entry(attack, variant, n, params).analytic(variant, n, params)
 
 
 def trial_seeds(base_seed: int, index: int) -> tuple[int, int]:
@@ -202,7 +117,7 @@ def run_trial(config: ExperimentConfig, index: int):
         m = hex_to_bits(config.message, config.n // 8)
     else:
         m = random_bits(config.n // 8, rng)
-    attack = build_attack(config.attack, config.attack_params, rng, keys)
+    attack = ATTACKS[config.attack].build(config.attack_params, rng, keys.k1)
     return run_session(config.variant, m, keys, attack, register_seed)
 
 
@@ -227,8 +142,8 @@ def run_experiment(config: ExperimentConfig) -> DetectionStats:
             detections += 1
 
     t = config.trials
-    analytic, formula = analytic_detection(
-        config.attack, config.variant, config.n, config.attack_params
+    analytic, formula = ATTACKS[config.attack].analytic(
+        config.variant, config.n, config.attack_params
     )
     return DetectionStats(
         trials=t,
@@ -303,38 +218,20 @@ def report_dict(stats: DetectionStats) -> dict:
 def emit_report(stats: DetectionStats, output_format: str, destination=None) -> str:
     """Render a report as json or csv; optionally write it to a path or
     file-like destination. Returns the rendered text either way."""
+    report = report_dict(stats)
     if output_format == "json":
-        text = json.dumps(report_dict(stats), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     elif output_format == "csv":
-        cfg = stats.config
-        row = {
-            "variant": cfg.variant.value,
-            "attack": cfg.attack,
-            "attack_params": json.dumps(cfg.attack_params, sort_keys=True),
-            "n": cfg.n,
-            "trials": cfg.trials,
-            "seed": cfg.seed,
-            "message": cfg.message if cfg.message is not None else "",
-            "count_none": stats.cause_counts["none"],
-            "count_hash_mismatch": stats.cause_counts["hash_mismatch"],
-            "count_bell_check_failed": stats.cause_counts["bell_check_failed"],
-            "count_reflect_flag": stats.cause_counts["reflect_flag"],
-            "bob_accept_rate": stats.bob_accept_rate,
-            "alice_accept_rate": stats.alice_accept_rate,
-            "security_event_rate": stats.security_event_rate,
-            "detection_rate": stats.detection_rate,
-            "wilson_99_low": stats.wilson_99[0],
-            "wilson_99_high": stats.wilson_99[1],
-            "analytic": stats.analytic if stats.analytic is not None else "",
-            "analytic_formula": stats.analytic_formula or "",
-            "hash_algorithm": HASH_NAME,
-            "hash_truncate_bits": cfg.n // 8,
-            "version": __version__,
-        }
+        results = report["results"]
+        row = {**report["config"], **results, "version": report["artifact"]["version"]}
+        row["attack_params"] = json.dumps(row["attack_params"], sort_keys=True)
+        row.update({f"count_{k}": v for k, v in results["cause_counts"].items()})
+        row["wilson_99_low"], row["wilson_99_high"] = results["wilson_99"]
+        row.update({f"hash_{k}": v for k, v in report["hash"].items()})
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
         writer.writeheader()
-        writer.writerow(row)
+        writer.writerow({column: row[column] for column in CSV_COLUMNS})
         text = buf.getvalue()
     else:
         raise ConfigError(f"unknown output format {output_format!r}")
@@ -356,7 +253,7 @@ def emit_report(stats: DetectionStats, output_format: str, destination=None) -> 
 #   message  : hex string carrying at least n/8 bits
 #   k1       : hex string carrying n bits (must be balanced)
 #   k2       : hex string carrying n/2 bits, or null (measure-resend)
-#   seed     : int, register seed
+#   seed     : int; the attack and register seeds derive from it as for trial 0
 #   attack   : optional attack name (default "no_attack")
 #   attack_params : optional object
 
@@ -366,32 +263,43 @@ def load_session_config(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed session config: {exc}") from None
+    _check_session_keys(doc)
+    return doc
+
+
+def _check_session_keys(doc) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError("session config must be a JSON object")
     for key in ("variant", "n", "message", "k1", "seed"):
         if key not in doc:
             raise ConfigError(f"session config missing {key!r}")
-    return doc
 
 
 def run_session_from_config(doc: dict) -> dict:
     """Execute one session from a parsed configuration document and return a
     transcript mirroring the run outcome."""
+    _check_session_keys(doc)
     try:
         variant = Variant(doc["variant"])
     except ValueError:
         raise ConfigError(f"unknown variant {doc['variant']!r}") from None
     n = doc["n"]
-    if not isinstance(n, int) or n % 8 != 0 or n < 16:
-        raise ConfigError(f"n must be a multiple of 8 and at least 16, got {n!r}")
-    m = hex_to_bits(doc["message"], n // 8)
-    k1 = tuple(hex_to_bits(doc["k1"], n))
-    k2 = tuple(hex_to_bits(doc["k2"], n // 2)) if doc.get("k2") else None
+    params = doc.get("attack_params", {})
+    entry = _attack_entry(doc.get("attack", "no_attack"), variant, n, params)
     try:
+        m = hex_to_bits(doc["message"], n // 8)
+        k1 = tuple(hex_to_bits(doc["k1"], n))
+        k2 = tuple(hex_to_bits(doc["k2"], n // 2)) if doc.get("k2") else None
         keys = KeyMaterial(k1=k1, k2=k2)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    rng = Random(doc["seed"])
-    attack = build_attack(doc.get("attack", "no_attack"), doc.get("attack_params", {}), rng, keys)
-    outcome = run_session(variant, m, keys, attack, doc["seed"])
+    if k2 is None and variant is Variant.RANDOMIZATION:
+        raise ConfigError("the randomization variant needs k2")
+    if type(doc["seed"]) is not int:
+        raise ConfigError(f"seed must be an int, got {doc['seed']!r}")
+    rng_seed, register_seed = trial_seeds(doc["seed"], 0)
+    attack = entry.build(params, Random(rng_seed), keys.k1)
+    outcome = run_session(variant, m, keys, attack, register_seed)
     return {
         "bob_accepts": outcome.bob_accepts,
         "alice_accepts": outcome.alice_accepts,

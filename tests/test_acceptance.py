@@ -278,7 +278,7 @@ def _blind_guess_acceptance_exact() -> float:
 def test_criterion_9_blind_guess_acceptance_exact_oracle():
     """Blind-guess receiver impersonation at n=8: the Monte Carlo acceptance
     rate matches the exact cycle-aware enumeration over all ordered guesses."""
-    from sqdc.adversary import impersonate_bob
+    from sqdc.adversary import ImpersonateBobConcrete
 
     expected = _blind_guess_acceptance_exact()
     trials = 100_000
@@ -292,7 +292,7 @@ def test_criterion_9_blind_guess_acceptance_exact_oracle():
         keys = KeyMaterial(k1=tuple(k1), k2=tuple(k2))
         m = random_bits(1, rng)
         outcome = run_session(
-            Variant.RANDOMIZATION, m, keys, impersonate_bob("concrete", rng), 1_900_000 + i
+            Variant.RANDOMIZATION, m, keys, ImpersonateBobConcrete(rng), 1_900_000 + i
         )
         if outcome.alice_accepts:
             accepts += 1

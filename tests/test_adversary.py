@@ -5,13 +5,14 @@ from random import Random
 import pytest
 
 from sqdc.adversary import (
+    ATTACKS,
     AttackStrategy,
-    impersonate_alice,
-    impersonate_bob,
-    intercept_resend,
-    modify_single,
-    no_attack,
-    reflect_all,
+    ImpersonateAlice,
+    ImpersonateBobConcrete,
+    ImpersonateBobIdealized,
+    InterceptResend,
+    ModifySingleQubit,
+    ReflectAll,
 )
 from sqdc.codec import random_bits
 from sqdc.keys import gen_keys
@@ -36,14 +37,13 @@ def run_many(variant, n, attack_factory, trials, base_seed, include_k2=None):
 
 
 def test_no_attack_hooks_are_identity():
-    attack = no_attack()
+    attack = AttackStrategy()
     register = QuantumRegister(0)
     qubits = [register.alloc_qubit(0) for _ in range(4)]
     assert attack.tamper_forward(register, qubits) == qubits
     assert attack.tamper_backward(register, qubits) == qubits
     assert attack.name == "no_attack"
     assert not attack.bypasses_bob
-    assert attack.params() == {}
 
 
 # -- intercept-resend ----------------------------------------------------------
@@ -52,7 +52,7 @@ def test_no_attack_hooks_are_identity():
 def test_intercept_resend_forwards_fresh_qubits():
     register = QuantumRegister(1)
     qa, qb = register.prepare_bell(BellState.PHI_PLUS)
-    attack = intercept_resend()
+    attack = InterceptResend()
     fresh = attack.tamper_forward(register, [qa, qb])
     assert fresh != [qa, qb]
     assert attack.observed[0] == attack.observed[1]  # Phi+ is correlated in Z
@@ -61,7 +61,7 @@ def test_intercept_resend_forwards_fresh_qubits():
 
 
 def test_intercept_resend_detection_rate_n16():
-    outcomes = run_many(Variant.RANDOMIZATION, 16, lambda rng: intercept_resend(), 2000, 100)
+    outcomes = run_many(Variant.RANDOMIZATION, 16, lambda rng: InterceptResend(), 2000, 100)
     assert all(o.bob_accepts for o in outcomes)  # parity survives Z measurement
     detected = sum(o.detected for o in outcomes)
     p = 1 - 0.5 ** 8
@@ -72,7 +72,7 @@ def test_intercept_resend_detection_rate_n16():
 
 
 def test_intercepted_check_slot_match_rate_is_half():
-    outcomes = run_many(Variant.RANDOMIZATION, 16, lambda rng: intercept_resend(), 2000, 200)
+    outcomes = run_many(Variant.RANDOMIZATION, 16, lambda rng: InterceptResend(), 2000, 200)
     matched = sum(sum(o.check_matches) for o in outcomes)
     total = sum(len(o.check_matches) for o in outcomes)
     sigma = (0.25 / total) ** 0.5
@@ -84,7 +84,7 @@ def test_intercepted_check_slot_match_rate_is_half():
 
 def test_impersonate_bob_idealized_per_slot_rate():
     outcomes = run_many(
-        Variant.RANDOMIZATION, 16, lambda rng: impersonate_bob("idealized", rng), 3000, 300
+        Variant.RANDOMIZATION, 16, ImpersonateBobIdealized, 3000, 300
     )
     matched = sum(sum(o.check_matches) for o in outcomes)
     total = sum(len(o.check_matches) for o in outcomes)
@@ -95,7 +95,7 @@ def test_impersonate_bob_idealized_per_slot_rate():
 
 def test_impersonate_bob_idealized_detection_rate():
     outcomes = run_many(
-        Variant.RANDOMIZATION, 16, lambda rng: impersonate_bob("idealized", rng), 3000, 400
+        Variant.RANDOMIZATION, 16, ImpersonateBobIdealized, 3000, 400
     )
     detected = sum(o.detected for o in outcomes)
     p = 1 - (5 / 8) ** 8
@@ -105,7 +105,7 @@ def test_impersonate_bob_idealized_detection_rate():
 
 def test_impersonate_bob_concrete_bypasses_bob():
     outcomes = run_many(
-        Variant.RANDOMIZATION, 16, lambda rng: impersonate_bob("concrete", rng), 500, 500
+        Variant.RANDOMIZATION, 16, ImpersonateBobConcrete, 500, 500
     )
     assert all(o.bob_accepts is None for o in outcomes)
     assert all(o.decoded_message is None for o in outcomes)
@@ -116,7 +116,7 @@ def test_impersonate_bob_concrete_bypasses_bob():
 
 def test_impersonate_bob_unknown_mode():
     with pytest.raises(ValueError):
-        impersonate_bob("quantum_memory", Random(0))
+        ATTACKS["impersonate_bob"].check(Variant.RANDOMIZATION, 16, {"mode": "quantum_memory"})
 
 
 def test_wrong_partner_bell_outcome_uniform_exact():
@@ -135,7 +135,7 @@ def test_wrong_partner_bell_outcome_uniform_exact():
 
 
 def test_impersonate_alice_acceptance_bounded_by_forgery_rate():
-    outcomes = run_many(Variant.RANDOMIZATION, 32, impersonate_alice, 2000, 600)
+    outcomes = run_many(Variant.RANDOMIZATION, 32, ImpersonateAlice, 2000, 600)
     accepts = sum(bool(o.bob_accepts) for o in outcomes)
     p = 2 ** -4  # truncated-digest collision rate at n=32
     sigma = (p * (1 - p) / len(outcomes)) ** 0.5
@@ -157,7 +157,7 @@ def test_modify_single_checking_qubit_always_detected():
         m = random_bits(2, rng)
         c_positions = [j for j, b in enumerate(keys.k1) if b == 1]
         out = run_session(
-            Variant.RANDOMIZATION, m, keys, modify_single(rng.choice(c_positions)), 9000 + i
+            Variant.RANDOMIZATION, m, keys, ModifySingleQubit(rng.choice(c_positions)), 9000 + i
         )
         assert out.bob_accepts  # the message stream is untouched
         assert not out.alice_accepts
@@ -166,18 +166,18 @@ def test_modify_single_checking_qubit_always_detected():
 
 def test_modify_single_validation():
     with pytest.raises(ValueError):
-        modify_single(-1)
-    attack = modify_single(99)
+        ModifySingleQubit(-1)
+    attack = ModifySingleQubit(99)
     with pytest.raises(ValueError):
         attack.tamper_forward(QuantumRegister(0), [1, 2, 3])
-    assert attack.params() == {"target": 99}
+    assert attack.target == 99
 
 
 # -- reflect-all ---------------------------------------------------------------
 
 
 def test_reflect_all_always_flagged():
-    outcomes = run_many(Variant.MEASURE_RESEND, 16, lambda rng: reflect_all(), 300, 800)
+    outcomes = run_many(Variant.MEASURE_RESEND, 16, lambda rng: ReflectAll(), 300, 800)
     for o in outcomes:
         assert o.bob_accepts is None
         assert not o.alice_accepts
@@ -185,7 +185,7 @@ def test_reflect_all_always_flagged():
 
 
 def test_reflect_all_returns_captured_sequence():
-    attack = reflect_all()
+    attack = ReflectAll()
     register = QuantumRegister(2)
     qubits = [register.alloc_qubit(0) for _ in range(4)]
     assert attack.tamper_forward(register, qubits) == qubits

@@ -1,8 +1,10 @@
 """Tests for the Monte Carlo harness, reporting, and the CLI."""
 
 import csv
+import hashlib
 import io
 import json
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -105,6 +107,12 @@ def test_analytic_no_closed_form():
 def test_analytic_unknown_attack():
     with pytest.raises(ConfigError):
         analytic_detection("time_travel", Variant.RANDOMIZATION, 16)
+    with pytest.raises(ConfigError):
+        analytic_detection("no_attack", Variant.RANDOMIZATION, 3)
+    with pytest.raises(ConfigError):
+        analytic_detection("reflect_all", Variant.RANDOMIZATION, 16)
+    with pytest.raises(ConfigError):
+        analytic_detection("intercept_resend", Variant.RANDOMIZATION, 16, {"mode": "concrete"})
 
 
 # -- configuration validation ----------------------------------------------------------
@@ -118,10 +126,16 @@ def test_analytic_unknown_attack():
         {"trials": 0},
         {"attack": "nope"},
         {"attack": "reflect_all"},  # randomization variant
-        {"output_format": "xml"},
         {"attack": "impersonate_bob", "attack_params": {"mode": "teleport"}},
         {"attack": "modify_single", "attack_params": {"target": "everything"}},
         {"message": "ab"},  # too short for n/8 = 4 bits? "ab" has 8 bits -- use n=96
+        {"attack_params": {"bogus": 1}},
+        {"attack": "modify_single", "attack_params": {"target": 999}},
+        {"attack": "modify_single", "attack_params": {"target": -1}},
+        {"attack": "modify_single", "attack_params": {"target": 16}},  # n = 16
+        {"attack": "modify_single", "attack_params": {"target": True}},
+        {"message": "-f"},
+        {"message": "0xf"},
     ],
 )
 def test_config_validation_rejects(overrides):
@@ -135,10 +149,13 @@ def test_config_validation_rejects(overrides):
 
 def test_config_validation_accepts_good():
     make_config().validate()
-    make_config(
-        variant=Variant.MEASURE_RESEND, attack="reflect_all", output_format="csv"
-    ).validate()
+    make_config(variant=Variant.MEASURE_RESEND, attack="reflect_all").validate()
     make_config(attack="modify_single", attack_params={"target": 3}).validate()
+    make_config(attack="modify_single", attack_params={"target": 15}).validate()
+    # known defect: this pair passes validation and fails at run time
+    make_config(
+        variant=Variant.MEASURE_RESEND, attack="impersonate_bob", attack_params={"mode": "concrete"}
+    ).validate()
     make_config(n=32, message="ab").validate()
 
 
@@ -242,9 +259,7 @@ def test_json_report_structure():
 
 
 def test_csv_report_round_trip():
-    stats = run_experiment(
-        make_config(attack="intercept_resend", trials=100, output_format="csv")
-    )
+    stats = run_experiment(make_config(attack="intercept_resend", trials=100))
     text = emit_report(stats, "csv")
     rows = list(csv.DictReader(io.StringIO(text)))
     assert len(rows) == 1
@@ -259,6 +274,55 @@ def test_csv_report_round_trip():
         for k in ("count_none", "count_hash_mismatch", "count_bell_check_failed", "count_reflect_flag")
     )
     assert counts == 100
+
+
+# SHA-256 of the JSON and CSV reports of a few configs. Reports must be
+# reproducible byte for byte, so a change to these digests must be deliberate.
+GOLDEN_REPORTS = [
+    (
+        dict(n=32, trials=40, seed=1, message="a"),
+        "b8b0f57a86e29a60cc258d69e0aad89fa7eff63ebf3ff64907b4cf772ace7aff",
+        "22e1931cb8907fd6540e0cca80ebed0b2b8c830f059e6360a12e8fd44ea62b35",
+    ),
+    (
+        dict(variant=Variant.MEASURE_RESEND, attack="impersonate_alice", trials=40, seed=7),
+        "f2d0f76f35c8a6d0115920c318c46df651663a2c2e36e8687b6a38ce84157a5e",
+        "00c5e7fbdc4b741fd68ecf883318205c77fee9157ff51cc3f0f1d83646055deb",
+    ),
+    (
+        dict(attack="modify_single", attack_params={"target": "s_msg"}, trials=60, seed=5),
+        "7d2babe6a52d694501ef4d1128eb190225ea4510e88eaea6f191d5d3e844a984",
+        "74a86f0c38cfd73386ed887483a56dc17b092737a4fb6d6eeae27114e3f39471",
+    ),
+    (
+        dict(attack="impersonate_bob", attack_params={"mode": "concrete"}, trials=30, seed=3),
+        "8c73c2d01efb95648e09ad1e9122c14d1b9753bb0737b07aaafbc58e26d856d6",
+        "d9c71178efa62c847d520b4376b1af4020039fb844ece07de1777ca0a69dffe8",
+    ),
+    (
+        dict(
+            variant=Variant.MEASURE_RESEND,
+            attack="modify_single",
+            attack_params={"target": 3},
+            trials=30,
+            seed=11,
+            message="f",
+        ),
+        "9998b375fe38a4075a27d35b144f7d1d15e7d608523c68b1e7357df69afa0a1e",
+        "30c446f9e4ead48682bab9d2fa8ef98494676229972d061ead66c3f7ec98b047",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "overrides, json_sha, csv_sha",
+    GOLDEN_REPORTS,
+    ids=["fixed-message", "no-closed-form", "s_msg", "concrete", "position-target"],
+)
+def test_report_bytes_pinned(overrides, json_sha, csv_sha):
+    stats = run_experiment(make_config(**overrides))
+    for fmt, expected in (("json", json_sha), ("csv", csv_sha)):
+        assert hashlib.sha256(emit_report(stats, fmt).encode()).hexdigest() == expected
 
 
 def test_emit_report_to_path_and_stream(tmp_path):
@@ -325,6 +389,32 @@ def test_session_config_parsing_errors():
     doc, _ = session_doc(k1="ffff")  # unbalanced
     with pytest.raises(ConfigError):
         run_session_from_config(doc)
+    with pytest.raises(ConfigError):
+        load_session_config("[]")
+    with pytest.raises(ConfigError):
+        run_session_from_config({"variant": "randomization", "n": 16})
+    for overrides in (
+        {"message": "zz"},
+        {"message": "-f"},
+        {"message": 3},
+        {"k1": "zzzz"},
+        {"k2": None},  # randomization needs k2
+        {"k2": "f"},  # too short
+        {"seed": "5"},
+        {"seed": 1.5},
+        {"attack": "time_travel"},
+        {"attack": ["no_attack"]},
+        {"variant": ["randomization"]},
+        {"n": "16"},
+        {"attack": "reflect_all"},  # randomization variant
+        {"attack_params": {"bogus": 1}},
+        {"attack_params": ["mode"]},
+        {"attack": "modify_single", "attack_params": {"target": 16}},
+        {"attack": "impersonate_bob", "attack_params": {"mode": "teleport"}},
+    ):
+        doc, _ = session_doc(**overrides)
+        with pytest.raises(ConfigError):
+            run_session_from_config(doc)
 
 
 def test_session_config_round_trip_through_json():
@@ -436,6 +526,28 @@ def test_cli_bad_attack_param_exit_code(capsys):
     assert code == 2
 
 
+RUN = ["run", "--variant", "randomization", "--n", "16", "--trials", "5", "--seed", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        RUN + ["--attack", "no_attack", "--attack-param", "bogus=1"],
+        RUN + ["--attack", "modify_single", "--attack-param", "target=999"],
+        RUN + ["--attack", "modify_single", "--attack-param", "target=-1"],
+        RUN + ["--attack", "no_attack", "--message=-f"],
+        ["analytic", "--attack", "no_attack", "--n", "3"],
+        ["analytic", "--attack", "reflect_all", "--variant", "randomization", "--n", "16"],
+        ["analytic", "--attack", "intercept_resend", "--attack-param", "mode=concrete", "--n", "16"],
+    ],
+)
+def test_cli_invalid_input_exit_code(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_io_error_exit_code(tmp_path, capsys):
     code = main(
         [
@@ -465,3 +577,6 @@ def test_cli_list_attacks(capsys):
     out = capsys.readouterr().out
     for name in ("no_attack", "impersonate_bob", "modify_single", "reflect_all"):
         assert name in out
+    assert "a position 0..n-1" in out
+    # the README's parameter list is this output, verbatim
+    assert out in (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

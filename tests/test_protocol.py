@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from sqdc.adversary import intercept_resend, modify_single, no_attack
+from sqdc.adversary import AttackStrategy, InterceptResend, ModifySingleQubit
 from sqdc.codec import decode_pair, random_bits, verify_block
 from sqdc.keys import deinterleave, gen_keys
 from sqdc.protocol import (
@@ -129,7 +129,7 @@ def test_intercepted_check_pairs_match_half_the_time():
     total = 0
     for seed in range(500):
         m, keys, register, session, q_seq = make_session(16, seed)
-        attack = intercept_resend()
+        attack = InterceptResend()
         q_obs = attack.tamper_forward(register, q_seq)
         ok, decoded, cb = bob_randomization_step2(q_obs, keys, register)
         assert ok and decoded == m  # parity survives Z measurement
@@ -222,7 +222,7 @@ def test_run_session_honest_outcome():
     rng = Random(77)
     keys = gen_keys(16, rng)
     m = random_bits(2, rng)
-    outcome = run_session(Variant.RANDOMIZATION, m, keys, no_attack(), 123)
+    outcome = run_session(Variant.RANDOMIZATION, m, keys, AttackStrategy(), 123)
     assert outcome.bob_accepts and outcome.alice_accepts
     assert outcome.decoded_message == m
     assert outcome.detection_cause is DetectionCause.NONE
@@ -234,8 +234,8 @@ def test_run_session_deterministic():
     rng = Random(78)
     keys = gen_keys(16, rng)
     m = random_bits(2, rng)
-    a = run_session(Variant.RANDOMIZATION, m, keys, no_attack(), 5)
-    b = run_session(Variant.RANDOMIZATION, m, keys, no_attack(), 5)
+    a = run_session(Variant.RANDOMIZATION, m, keys, AttackStrategy(), 5)
+    b = run_session(Variant.RANDOMIZATION, m, keys, AttackStrategy(), 5)
     assert a == b
 
 
@@ -245,7 +245,7 @@ def test_detection_accounting_invariant():
     for seed in range(300):
         keys = gen_keys(16, Random(seed))
         m = random_bits(2, Random(seed + 1))
-        attack = modify_single(rng.randrange(16))
+        attack = ModifySingleQubit(rng.randrange(16))
         out = run_session(Variant.RANDOMIZATION, m, keys, attack, seed)
         both = bool(out.bob_accepts) and out.alice_accepts
         assert (out.detection_cause is DetectionCause.NONE) == both
