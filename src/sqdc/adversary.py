@@ -23,7 +23,6 @@ from .qsim import BellState, Pauli, QuantumRegister
 class AttackStrategy:
     """Identity tamper hooks; base class and the honest-channel baseline."""
 
-    name = "no_attack"
     bypasses_bob = False
 
     def tamper_forward(self, register: QuantumRegister, qubits):
@@ -39,8 +38,6 @@ class ImpersonateAlice(AttackStrategy):
     Her strongest keyless mimicry of the sender: fresh Bell pairs drawn from
     the protocol alphabet, interleaved by a random balanced string.
     """
-
-    name = "impersonate_alice"
 
     def __init__(self, rng: Random):
         self.rng = rng
@@ -72,8 +69,6 @@ class ImpersonateBobIdealized(AttackStrategy):
     probability exactly 1/4, giving 1/2 + 1/2 * 1/4 = 5/8 per slot.
     """
 
-    name = "impersonate_bob"
-
     def __init__(self, rng: Random):
         self.rng = rng
 
@@ -92,7 +87,6 @@ class ImpersonateBobConcrete(AttackStrategy):
     forward sequence and answers with a uniformly random half-size subset in
     uniformly random order."""
 
-    name = "impersonate_bob"
     bypasses_bob = True
 
     def __init__(self, rng: Random):
@@ -111,8 +105,6 @@ class InterceptResend(AttackStrategy):
     """Eve Z-measures every forward qubit and forwards fresh qubits prepared
     in the observed basis states."""
 
-    name = "intercept_resend"
-
     def __init__(self):
         self.observed: list[int] = []
 
@@ -124,8 +116,6 @@ class InterceptResend(AttackStrategy):
 class ModifySingleQubit(AttackStrategy):
     """Apply the sign-flipping unitary (|0> -> -|1>, |1> -> |0>) to exactly
     one forward qubit, swapping Phi+ and Psi- on the pair it belongs to."""
-
-    name = "modify_single"
 
     def __init__(self, target: int):
         if target < 0:
@@ -143,7 +133,6 @@ class ReflectAll(AttackStrategy):
     """Eve captures the forward sequence, bypasses Bob, and returns every
     qubit untouched in transmitted order (measure-resend variant only)."""
 
-    name = "reflect_all"
     bypasses_bob = True
 
     def __init__(self):
@@ -200,11 +189,11 @@ class Attack:
         if variant not in self.variants:
             raise ValueError(f"applies only to {' / '.join(v.value for v in self.variants)}")
         if not isinstance(params, dict):
-            raise ValueError(f"parameters must be a mapping, got {params!r}")
+            raise ValueError(f"attack_params must be a mapping, got {params!r}")
         for key, value in params.items():
             if key not in self.params:
                 takes = ", ".join(self.params) or "none"
-                raise ValueError(f"unknown parameter {key!r}; takes {takes}")
+                raise ValueError(f"unknown parameter {key!r} in attack_params; takes {takes}")
             self.params[key].check(key, value, n)
 
     def analytic(self, variant: Variant, n: int, params: dict):
@@ -261,10 +250,9 @@ ATTACKS = {
             "forward qubit to flip; s, c, s_msg: random message, checking, message-half slot",
             position=True,
         )},
-        closed_form=lambda v, n, p: {
-            "c": (1.0, "Phi+ <-> Psi- flip is orthogonal to the recorded state"),
-            "s_msg": (1.0 - 0.5 ** (n / 8), "1-2^(-n/8) checksum mismatch"),
-        }.get(p["target"]),
+        closed_form=lambda v, n, p: (
+            1.0, "Phi+ <-> Psi- flip is orthogonal to the recorded state"
+        ) if p["target"] == "c" else None,
     ),
     "reflect_all": Attack(
         lambda p, rng, k1: ReflectAll(),

@@ -15,8 +15,6 @@ from .qsim import BellState
 
 HASH_NAME = "sha256"
 
-MIN_SEQUENCE_BITS = 16  # below this the checksum degenerates to < 2 bits
-
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 

@@ -39,14 +39,20 @@ class ExperimentConfig:
     message: str | None = None  # fixed message as hex; None = random per trial
 
     def validate(self) -> None:
-        if self.trials < 1:
-            raise ConfigError("trials must be at least 1")
+        """Raise ConfigError, naming the field at fault, unless the
+        configuration can run."""
+        if type(self.variant) is not Variant:
+            raise ConfigError(f"variant must be a Variant, got {self.variant!r}")
+        if type(self.trials) is not int or self.trials < 1:
+            raise ConfigError(f"trials must be an int of at least 1, got {self.trials!r}")
+        if type(self.seed) is not int:
+            raise ConfigError(f"seed must be an int, got {self.seed!r}")
         _attack_entry(self.attack, self.variant, self.n, self.attack_params)
         if self.message is not None:
             try:
                 hex_to_bits(self.message, self.n // 8)
             except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+                raise ConfigError(f"message: {exc}") from None
 
 
 def _attack_entry(attack, variant: Variant, n: int, params) -> Attack:
@@ -60,7 +66,7 @@ def _attack_entry(attack, variant: Variant, n: int, params) -> Attack:
     try:
         entry.check(variant, n, params)
     except ValueError as exc:
-        raise ConfigError(f"{attack}: {exc}") from None
+        raise ConfigError(f"attack {attack}: {exc}") from None
     return entry
 
 

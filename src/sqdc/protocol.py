@@ -106,9 +106,7 @@ def bob_randomization_step2(q_seq, keys: KeyMaterial, register: QuantumRegister)
     Returns (verdict, decoded message, checking qubits in k1 order).
     """
     s_qubits, cb_qubits = deinterleave(q_seq, keys.k1)
-    results = [register.measure_z(q) for q in s_qubits]
-    block = [decode_pair(results[2 * i], results[2 * i + 1]) for i in range(len(results) // 2)]
-    ok, m_decoded = verify_block(block)
+    ok, m_decoded = _decode_block([register.measure_z(q) for q in s_qubits])
     return ok, m_decoded, cb_qubits
 
 
@@ -153,8 +151,7 @@ def bob_measure_resend_step23(q_seq, keys: KeyMaterial, register: QuantumRegiste
             returned.append(register.alloc_qubit(b))
         else:  # CHECK
             returned.append(q)
-    block = [decode_pair(results[2 * i], results[2 * i + 1]) for i in range(len(results) // 2)]
-    ok, m_decoded = verify_block(block)
+    ok, m_decoded = _decode_block(results)
     return ok, m_decoded, returned
 
 
@@ -189,6 +186,13 @@ def alice_measure_resend_step4(returned, session: AliceSession, register: Quantu
     if all_initial:
         return False, DetectionCause.REFLECT_FLAG, matches
     return True, DetectionCause.NONE, matches
+
+
+def _decode_block(results):
+    """Decode Bob's Z outcomes pairwise into block bits and verify the
+    checksum. Returns (verdict, decoded message)."""
+    block = [decode_pair(results[2 * i], results[2 * i + 1]) for i in range(len(results) // 2)]
+    return verify_block(block)
 
 
 # -- orchestration -------------------------------------------------------------

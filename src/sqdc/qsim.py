@@ -1,19 +1,27 @@
 """Exact simulation of the quantum operations the Bell-state protocols need.
 
-A QuantumRegister tracks entanglement components: each component is a small
-dense complex state vector over the qubits that are entangled with each other.
-In these protocols components never exceed four qubits, so exact amplitudes
-stay cheap while remaining directly inspectable in tests.
+Every state these protocols reach is a product of Z-basis qubits and Bell
+pairs. Alice prepares Bell pairs; Bob measures in Z, resends basis qubits
+and reflects; the attacks apply X, Z and iY and measure in Z or the Bell
+basis. Each of these operations maps such a product to another one (a Bell
+measurement across components is teleportation or entanglement swapping), so
+the family is closed and a register holds it exactly as integer labels, with
+no amplitudes and nothing to drift.
 
-Index convention: within a component of k qubits, the qubit at list position
-j owns bit (k - 1 - j) of the amplitude index (first qubit is the most
-significant bit).
+A component is a list [qubits, label, k]:
+- one qubit in i^k |label>, or
+- two qubits (qa, qb) in i^k (I ⊗ X^x Z^z)|Φ+>, where label = 2x + z is the
+  state's index in BELL_ORDER.
+The phase i^k is global to the component (k is 0 or 2, because the Paulis
+here are real). It only keeps snapshots exact: iY|0> reads (0, -1).
+
+Amplitude vectors are built only by `component_snapshot`, for inspection.
+Within a component the first qubit owns the most significant index bit.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from math import sqrt
 from random import Random
 
 NORM_ATOL = 1e-9
@@ -43,7 +51,8 @@ BELL_AMPLITUDES = {
 }
 
 # Fixed sampling order for inverse-CDF draws; shared with any external oracle
-# so that identical random streams produce identical outcomes.
+# so that identical random streams produce identical outcomes. Index 2x + z
+# is the state (I ⊗ X^x Z^z)|Φ+>.
 BELL_ORDER = (
     BellState.PHI_PLUS,
     BellState.PHI_MINUS,
@@ -51,49 +60,29 @@ BELL_ORDER = (
     BellState.PSI_MINUS,
 )
 
-# Column-convention 2x2 matrices: (m00, m01, m10, m11).
-_PAULI_MATRIX = {
-    Pauli.X: (0.0, 1.0, 1.0, 0.0),
-    Pauli.Z: (1.0, 0.0, 0.0, -1.0),
-    Pauli.IY: (0.0, 1.0, -1.0, 0.0),  # |0> -> -|1>, |1> -> |0>
-}
+_LABEL = {bs: i for i, bs in enumerate(BELL_ORDER)}
 
+# Each operator as Z^pz X^px, as (px, pz); iY = ZX maps |0> -> -|1>, |1> -> |0>.
+_PAULI_XZ = {Pauli.X: (1, 0), Pauli.Z: (0, 1), Pauli.IY: (1, 1)}
 
-class _Component:
-    __slots__ = ("qubits", "amps")
-
-    def __init__(self, qubits, amps):
-        self.qubits = qubits  # list of qubit ids, order fixes bit positions
-        self.amps = amps      # list of 2**len(qubits) complex amplitudes
-
-
-def _reorder(qubits, amps, new_order):
-    """Permute the qubit order of an amplitude vector."""
-    k = len(qubits)
-    pos = {q: i for i, q in enumerate(qubits)}
-    shifts = [k - 1 - pos[q] for q in new_order]
-    out = [0j] * len(amps)
-    for i, a in enumerate(amps):
-        if a == 0:
-            continue
-        j = 0
-        for s in shifts:
-            j = (j << 1) | ((i >> s) & 1)
-        out[j] = a
-    return out
+# Bell outcome weights over BELL_ORDER; all are exact binary fractions.
+_CERTAIN = tuple(tuple(float(i == j) for j in range(4)) for i in range(4))
+_BASIS_PAIR = ((0.5, 0.5, 0.0, 0.0), (0.0, 0.0, 0.5, 0.5))  # by X parity a ^ b
+_UNIFORM = (0.25, 0.25, 0.25, 0.25)
 
 
 class QuantumRegister:
-    """Collection of qubits partitioned into entanglement components.
+    """Collection of qubits partitioned into basis qubits and Bell pairs.
 
-    All measurement randomness flows through the seeded `rng`, so a register
-    replays identically for a given seed and operation script.
+    All measurement randomness flows through the seeded `rng`, one uniform
+    draw per measurement, so a register replays identically for a given seed
+    and operation script.
     """
 
     def __init__(self, seed=None, rng: Random | None = None):
         self.rng = rng if rng is not None else Random(seed)
         self._next_id = 0
-        self._comp_of: dict[int, _Component] = {}
+        self._comp_of: dict[int, list] = {}
 
     # -- allocation ------------------------------------------------------
 
@@ -102,121 +91,101 @@ class QuantumRegister:
         if bit not in (0, 1):
             raise ValueError(f"bit must be 0 or 1, got {bit!r}")
         q = self._new_id()
-        amps = [1 + 0j, 0j] if bit == 0 else [0j, 1 + 0j]
-        self._comp_of[q] = _Component([q], amps)
+        self._put((q,), int(bit))
         return q
 
     def prepare_bell(self, bs: BellState) -> tuple[int, int]:
         """Allocate a fresh pair of qubits in the given Bell state."""
         qa = self._new_id()
         qb = self._new_id()
-        amps = [complex(a) for a in BELL_AMPLITUDES[bs]]
-        comp = _Component([qa, qb], amps)
-        self._comp_of[qa] = comp
-        self._comp_of[qb] = comp
+        self._put((qa, qb), _LABEL[bs])
         return qa, qb
 
     # -- measurement -----------------------------------------------------
 
     def z_probabilities(self, q: int) -> tuple[float, float]:
         """Outcome probabilities of a Z-basis measurement, without measuring."""
-        comp = self._component(q)
-        k = len(comp.qubits)
-        shift = k - 1 - comp.qubits.index(q)
-        p0 = 0.0
-        for i, a in enumerate(comp.amps):
-            if not (i >> shift) & 1:
-                p0 += (a.real * a.real + a.imag * a.imag)
+        p0 = _p0(self._component(q))
         return p0, 1.0 - p0
 
     def measure_z(self, q: int) -> int:
         """Measure one qubit in the computational basis with Born-rule collapse.
 
-        The measured qubit splits into its own single-qubit component; any
-        remaining entangled partners are renormalized.
+        The measured qubit becomes a basis qubit. A Bell partner is left in
+        the basis state its Z parity x fixes: outcome ^ x.
         """
         comp = self._component(q)
-        k = len(comp.qubits)
-        pos = comp.qubits.index(q)
-        shift = k - 1 - pos
-        p0 = 0.0
-        for i, a in enumerate(comp.amps):
-            if not (i >> shift) & 1:
-                p0 += (a.real * a.real + a.imag * a.imag)
-        outcome = 0 if self.rng.random() < p0 else 1
-
-        basis = [1 + 0j, 0j] if outcome == 0 else [0j, 1 + 0j]
-        if k == 1:
-            comp.amps = basis
-            return outcome
-
-        # Project the remaining qubits and renormalize.
-        prob = p0 if outcome == 0 else 1.0 - p0
-        norm = sqrt(prob)
-        low_mask = (1 << shift) - 1
-        rest = [0j] * (1 << (k - 1))
-        for i, a in enumerate(comp.amps):
-            if ((i >> shift) & 1) == outcome:
-                rest[((i >> (shift + 1)) << shift) | (i & low_mask)] = a / norm
-        rest_qubits = [x for x in comp.qubits if x != q]
-        self._install(_Component(rest_qubits, rest))
-        self._install(_Component([q], basis))
+        outcome = 0 if self.rng.random() < _p0(comp) else 1
+        qubits, label, _ = comp
+        if len(qubits) == 2:
+            partner = qubits[1] if qubits[0] == q else qubits[0]
+            self._put((partner,), outcome ^ (label >> 1))
+        self._put((q,), outcome)
         return outcome
 
     def bell_probabilities(self, qa: int, qb: int) -> dict[BellState, float]:
         """Outcome probabilities of a joint Bell measurement, without measuring."""
-        _, _, branches = self._pair_branches(qa, qb)
-        return {bs: p for bs, p, _ in branches}
+        return dict(zip(BELL_ORDER, self._bell_case(qa, qb)[2]))
 
     def bell_measure(self, qa: int, qb: int) -> BellState:
         """Jointly measure two qubits in the Bell basis with collapse.
 
-        Qubits from different components are first merged by tensor product
-        in (qa, qb, spectators) order, spectators sorted by qubit id. The
-        measured pair becomes its own two-qubit component.
+        The measured pair becomes its own two-qubit component. A partner left
+        behind gets the state that teleportation or entanglement swapping
+        fixes; two partners form one pair, in qubit-id order.
         """
-        order, spectators, branches = self._pair_branches(qa, qb)
+        ca, cb, weights = self._bell_case(qa, qb)
         u = self.rng.random()
         acc = 0.0
-        outcome, vec = branches[-1][0], branches[-1][2]
-        for bs, p, v in branches:
-            acc += p
+        for label, w in enumerate(weights):
+            acc += w
             if u < acc:
-                outcome, vec = bs, v
                 break
-
-        pair = _Component([qa, qb], [complex(a) for a in BELL_AMPLITUDES[outcome]])
-        self._install(pair)
-        if spectators:
-            prob = sum(v.real * v.real + v.imag * v.imag for v in vec)
-            norm = sqrt(prob)
-            self._install(_Component(spectators, [v / norm for v in vec]))
-        return outcome
+        self._put((qa, qb), label)
+        rest = [] if ca is cb else [q for q in ca[0] + cb[0] if q != qa and q != qb]
+        if len(rest) == 1:
+            # Teleportation: Z parities chain through the pair (x), the basis
+            # qubit's bit and the outcome's X parity.
+            pair, basis = (ca, cb) if len(ca[0]) == 2 else (cb, ca)
+            self._put((rest[0],), (pair[1] >> 1) ^ basis[1] ^ (label >> 1))
+        elif len(rest) == 2:
+            # Entanglement swapping: the partners carry the product of the
+            # three Paulis, which is the XOR of their labels up to sign.
+            self._put(tuple(sorted(rest)), ca[1] ^ cb[1] ^ label)
+        return BELL_ORDER[label]
 
     # -- unitaries -------------------------------------------------------
 
     def apply_pauli(self, q: int, op: Pauli) -> None:
-        """Apply a single-qubit Pauli-type unitary in place."""
-        m00, m01, m10, m11 = _PAULI_MATRIX[op]
+        """Apply a single-qubit Pauli-type unitary in place.
+
+        On |b> or on the second qubit of a pair, P = Z^pz X^px multiplies
+        X^x Z^z from the left; on the first qubit, (P ⊗ I)|Φ+> = (I ⊗ P^T)|Φ+>
+        multiplies it from the right. Both give X^(x^px) Z^(z^pz) up to the
+        sign of the commuted X and Z.
+        """
+        px, pz = _PAULI_XZ[op]
         comp = self._component(q)
-        k = len(comp.qubits)
-        shift = k - 1 - comp.qubits.index(q)
-        bit = 1 << shift
-        amps = comp.amps
-        for i0 in range(len(amps)):
-            if i0 & bit:
-                continue
-            i1 = i0 | bit
-            a0, a1 = amps[i0], amps[i1]
-            amps[i0] = m00 * a0 + m01 * a1
-            amps[i1] = m10 * a0 + m11 * a1
+        qubits, label, k = comp
+        if len(qubits) == 1:
+            comp[1] = label ^ px
+            comp[2] = (k + 2 * (pz & comp[1])) % 4
+        elif q == qubits[1]:
+            comp[1] = label ^ (2 * px + pz)
+            comp[2] = (k + 2 * (pz & (comp[1] >> 1))) % 4
+        else:
+            comp[1] = label ^ (2 * px + pz)
+            comp[2] = (k + 2 * (px & label)) % 4
 
     # -- introspection ---------------------------------------------------
 
     def component_snapshot(self, q: int) -> tuple[tuple[int, ...], tuple[complex, ...]]:
-        """Read-only copy of the component containing q."""
-        comp = self._component(q)
-        return tuple(comp.qubits), tuple(comp.amps)
+        """The qubits of the component containing q and its amplitude vector."""
+        qubits, label, k = self._component(q)
+        phase = 1j ** k
+        if len(qubits) == 1:
+            return qubits, ((phase, 0j) if label == 0 else (0j, phase))
+        return qubits, tuple(phase * a for a in BELL_AMPLITUDES[BELL_ORDER[label]])
 
     def live_qubits(self) -> list[int]:
         return sorted(self._comp_of)
@@ -228,47 +197,39 @@ class QuantumRegister:
         self._next_id += 1
         return q
 
-    def _component(self, q: int) -> _Component:
+    def _component(self, q: int) -> list:
         try:
             return self._comp_of[q]
         except KeyError:
             raise ValueError(f"unknown qubit id {q!r}") from None
 
-    def _install(self, comp: _Component) -> None:
-        total = sum(a.real * a.real + a.imag * a.imag for a in comp.amps)
-        if abs(total - 1.0) > NORM_ATOL:
-            raise AssertionError(f"component norm drifted: {total!r}")
-        for q in comp.qubits:
+    def _put(self, qubits: tuple[int, ...], label: int) -> None:
+        """Make `qubits` one component in state `label`, with phase 1."""
+        comp = [qubits, label, 0]
+        for q in qubits:
             self._comp_of[q] = comp
 
-    def _pair_branches(self, qa: int, qb: int):
+    def _bell_case(self, qa: int, qb: int):
+        """The components of qa and qb and the outcome weights over BELL_ORDER.
+
+        One pair is its own eigenstate. Two basis qubits |ab> have X parity
+        a ^ b and an even split over the Z phase. Otherwise a measured qubit
+        has its partner outside the measurement, so every outcome has 1/4.
+        """
         if qa == qb:
             raise ValueError("bell measurement needs two distinct qubits")
         ca = self._component(qa)
         cb = self._component(qb)
         if ca is cb:
-            qubits = list(ca.qubits)
-            amps = list(ca.amps)
-        else:
-            qubits = list(ca.qubits) + list(cb.qubits)
-            amps = [x * y for x in ca.amps for y in cb.amps]
-        spectators = sorted(q for q in qubits if q != qa and q != qb)
-        order = [qa, qb] + spectators
-        amps = _reorder(qubits, amps, order)
-        ns = 1 << (len(order) - 2)
-        branches = []
-        for bs in BELL_ORDER:
-            t = BELL_AMPLITUDES[bs]
-            vec = [
-                t[0] * amps[s]
-                + t[1] * amps[ns + s]
-                + t[2] * amps[2 * ns + s]
-                + t[3] * amps[3 * ns + s]
-                for s in range(ns)
-            ]
-            p = sum(v.real * v.real + v.imag * v.imag for v in vec)
-            branches.append((bs, p, vec))
-        return order, spectators, branches
+            return ca, cb, _CERTAIN[ca[1]]
+        if len(ca[0]) == len(cb[0]) == 1:
+            return ca, cb, _BASIS_PAIR[ca[1] ^ cb[1]]
+        return ca, cb, _UNIFORM
+
+
+def _p0(comp: list) -> float:
+    """P(Z outcome 0) of either qubit of a component."""
+    return 0.5 if len(comp[0]) == 2 else 1.0 - comp[1]
 
 
 def states_equal(a, b, atol: float = NORM_ATOL) -> bool:

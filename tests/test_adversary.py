@@ -42,7 +42,6 @@ def test_no_attack_hooks_are_identity():
     qubits = [register.alloc_qubit(0) for _ in range(4)]
     assert attack.tamper_forward(register, qubits) == qubits
     assert attack.tamper_backward(register, qubits) == qubits
-    assert attack.name == "no_attack"
     assert not attack.bypasses_bob
 
 

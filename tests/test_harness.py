@@ -94,14 +94,14 @@ def test_analytic_pinned_values():
     assert analytic_detection(
         "modify_single", Variant.RANDOMIZATION, 16, {"target": "c"}
     )[0] == 1.0
-    assert analytic_detection(
-        "modify_single", Variant.RANDOMIZATION, 32, {"target": "s_msg"}
-    )[0] == 0.9375
 
 
 def test_analytic_no_closed_form():
     assert analytic_detection("intercept_resend", Variant.MEASURE_RESEND, 16) == (None, None)
     assert analytic_detection("impersonate_alice", Variant.RANDOMIZATION, 16) == (None, None)
+    assert analytic_detection(
+        "modify_single", Variant.RANDOMIZATION, 32, {"target": "s_msg"}
+    ) == (None, None)
 
 
 def test_analytic_unknown_attack():
@@ -136,6 +136,10 @@ def test_analytic_unknown_attack():
         {"attack": "modify_single", "attack_params": {"target": True}},
         {"message": "-f"},
         {"message": "0xf"},
+        {"variant": "randomization"},  # a str, not a Variant
+        {"trials": 2.5},
+        {"trials": True},
+        {"seed": "1"},
     ],
 )
 def test_config_validation_rejects(overrides):
@@ -143,7 +147,8 @@ def test_config_validation_rejects(overrides):
         config = make_config(n=96, message="ab")  # 8 hex bits < 12 message bits
     else:
         config = make_config(**overrides)
-    with pytest.raises(ConfigError):
+    # the error names a field the case set
+    with pytest.raises(ConfigError, match="|".join(overrides)):
         config.validate()
 
 
@@ -221,10 +226,10 @@ def test_wilson_intervals_cover_analytic_rates():
             n=16,
         )
     )
-    # s_msg is excluded here: its closed form 1-2^(-n/8) treats the truncated
-    # digest as an ideal random function, while the true single-flip collision
-    # rate is a fixed discrete quantity that a tight interval can legitimately
-    # exclude; the acceptance suite checks it as a one-sided bound instead
+    # s_msg has no closed form: 1-2^(-n/8) would treat the truncated digest
+    # as an ideal random function, while the true single-flip collision rate
+    # is a fixed discrete quantity that a tight interval can exclude; the
+    # acceptance suite checks it as a one-sided bound instead
     experiments.append(make_config(attack="intercept_resend", n=40))
     experiments.append(make_config(attack="impersonate_bob", n=40))
     experiments.append(make_config(n=48))
@@ -291,8 +296,8 @@ GOLDEN_REPORTS = [
     ),
     (
         dict(attack="modify_single", attack_params={"target": "s_msg"}, trials=60, seed=5),
-        "7d2babe6a52d694501ef4d1128eb190225ea4510e88eaea6f191d5d3e844a984",
-        "74a86f0c38cfd73386ed887483a56dc17b092737a4fb6d6eeae27114e3f39471",
+        "f102b28a328a89a3f3c0f5f691a380d752749d05a0487f067fa2fc4a70f84094",
+        "f3335367b7c5266a9ecfeabd94fb61e4d4c7ff158232154547fa0ae9c3174520",
     ),
     (
         dict(attack="impersonate_bob", attack_params={"mode": "concrete"}, trials=30, seed=3),

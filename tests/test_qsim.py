@@ -1,4 +1,7 @@
-"""Tests for the entanglement-component state-vector engine."""
+"""Tests for the exact engine, whose components are basis qubits and
+labelled Bell pairs: snapshots, Born statistics, collapse, teleportation and
+entanglement swapping, and agreement with the dense full-register oracle on
+random scripts (outcomes, probabilities and the full state after each step)."""
 
 import math
 from random import Random
@@ -308,6 +311,23 @@ def test_states_equal_global_phase():
 # -- oracle equivalence (smoke; the full 200-scenario run lives in acceptance) --
 
 
+def engine_state(eng, order):
+    """The engine's full state: the tensor product of its component snapshots,
+    with the qubits in `order` (first qubit owns the most significant bit)."""
+    qubits, amps = [], [1 + 0j]
+    for q in eng.live_qubits():
+        if q not in qubits:
+            comp_qubits, comp_amps = eng.component_snapshot(q)
+            qubits += comp_qubits
+            amps = [a * b for a in amps for b in comp_amps]
+    k = len(qubits)
+    shifts = [k - 1 - order.index(q) for q in qubits]
+    out = [0j] * len(amps)
+    for i, a in enumerate(amps):
+        out[sum(1 << s for pos, s in enumerate(shifts) if (i >> (k - 1 - pos)) & 1)] = a
+    return out
+
+
 def run_scripted_comparison(seed, script_rng, steps=20, max_qubits=8):
     eng = QuantumRegister(seed)
     orc = DenseRegister(seed)
@@ -346,6 +366,7 @@ def run_scripted_comparison(seed, script_rng, steps=20, max_qubits=8):
             pe, po = eng.bell_probabilities(qa, qb), orc.bell_probabilities(qa, qb)
             worst = max(worst, max(abs(pe[bs] - po[bs]) for bs in BELL_ORDER))
             assert eng.bell_measure(qa, qb) == orc.bell_measure(qa, qb)
+        assert states_equal(engine_state(eng, orc.qubits), orc.amps)
     return worst
 
 
