@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 
 from .codec import pack_bits
@@ -82,12 +83,16 @@ def permutation_from_key(k, length: int) -> Permutation:
     seeded with the hash of the key (hashing decorrelates similar keys)."""
     if length != len(k):
         raise ValueError("permutation length must equal the key length")
-    seed = int.from_bytes(hashlib.sha256(pack_bits(list(k))).digest()[:8], "big")
-    rng = Random(seed)
-    mapping = list(range(length))
-    for i in range(length - 1, 0, -1):
-        j = rng.randrange(i + 1)
-        mapping[i], mapping[j] = mapping[j], mapping[i]
+    return _permutation(tuple(k))
+
+
+@lru_cache(maxsize=1)
+def _permutation(k: tuple) -> Permutation:
+    """Bob's step 3 and Alice's step 4 derive the same k2 permutation, so the
+    last one is kept."""
+    seed = int.from_bytes(hashlib.sha256(pack_bits(k)).digest()[:8], "big")
+    mapping = list(range(len(k)))
+    Random(seed).shuffle(mapping)  # draws randbelow(i + 1) for i = len-1 .. 1
     return Permutation(tuple(mapping))
 
 

@@ -81,8 +81,9 @@ def alice_prepare(m, keys: KeyMaterial, register: QuantumRegister, variant: Vari
     s_pairs = []
     s_seq = []
     for bit in block:
-        q1, q2 = register.prepare_bell(encode_bit(bit))
-        s_pairs.append((q1, q2, encode_bit(bit)))
+        state = encode_bit(bit)
+        q1, q2 = register.prepare_bell(state)
+        s_pairs.append((q1, q2, state))
         s_seq.extend((q1, q2))
 
     c_pairs = []

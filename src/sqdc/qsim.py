@@ -60,8 +60,6 @@ BELL_ORDER = (
     BellState.PSI_MINUS,
 )
 
-_LABEL = {bs: i for i, bs in enumerate(BELL_ORDER)}
-
 # Each operator as Z^pz X^px, as (px, pz); iY = ZX maps |0> -> -|1>, |1> -> |0>.
 _PAULI_XZ = {Pauli.X: (1, 0), Pauli.Z: (0, 1), Pauli.IY: (1, 1)}
 
@@ -90,22 +88,26 @@ class QuantumRegister:
         """Allocate a fresh qubit in the basis state |bit>."""
         if bit not in (0, 1):
             raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-        q = self._new_id()
-        self._put((q,), int(bit))
+        q = self._next_id
+        self._next_id = q + 1
+        self._comp_of[q] = [(q,), int(bit), 0]
         return q
 
     def prepare_bell(self, bs: BellState) -> tuple[int, int]:
         """Allocate a fresh pair of qubits in the given Bell state."""
-        qa = self._new_id()
-        qb = self._new_id()
-        self._put((qa, qb), _LABEL[bs])
+        qa = self._next_id
+        qb = qa + 1
+        self._next_id = qa + 2
+        # tuple.index compares by identity first, unlike hashing the enum
+        self._comp_of[qa] = self._comp_of[qb] = [(qa, qb), BELL_ORDER.index(bs), 0]
         return qa, qb
 
     # -- measurement -----------------------------------------------------
 
     def z_probabilities(self, q: int) -> tuple[float, float]:
         """Outcome probabilities of a Z-basis measurement, without measuring."""
-        p0 = _p0(self._component(q))
+        qubits, bit, _ = self._component(q)
+        p0 = 0.5 if len(qubits) == 2 else 1.0 - bit
         return p0, 1.0 - p0
 
     def measure_z(self, q: int) -> int:
@@ -115,12 +117,15 @@ class QuantumRegister:
         the basis state its Z parity x fixes: outcome ^ x.
         """
         comp = self._component(q)
-        outcome = 0 if self.rng.random() < _p0(comp) else 1
+        u = self.rng.random()
         qubits, label, _ = comp
-        if len(qubits) == 2:
-            partner = qubits[1] if qubits[0] == q else qubits[0]
-            self._put((partner,), outcome ^ (label >> 1))
-        self._put((q,), outcome)
+        if len(qubits) == 1:  # |label> is certain
+            comp[2] = 0
+            return label
+        outcome = 0 if u < 0.5 else 1
+        partner = qubits[1] if qubits[0] == q else qubits[0]
+        self._comp_of[q] = [(q,), outcome, 0]
+        self._comp_of[partner] = [(partner,), outcome ^ (label >> 1), 0]
         return outcome
 
     def bell_probabilities(self, qa: int, qb: int) -> dict[BellState, float]:
@@ -136,22 +141,27 @@ class QuantumRegister:
         """
         ca, cb, weights = self._bell_case(qa, qb)
         u = self.rng.random()
+        if ca is cb and ca[0][0] == qa:  # certain; u was drawn to keep streams aligned
+            ca[2] = 0
+            return BELL_ORDER[ca[1]]
         acc = 0.0
         for label, w in enumerate(weights):
             acc += w
             if u < acc:
                 break
-        self._put((qa, qb), label)
+        comp_of = self._comp_of
+        comp_of[qa] = comp_of[qb] = [(qa, qb), label, 0]
         rest = [] if ca is cb else [q for q in ca[0] + cb[0] if q != qa and q != qb]
         if len(rest) == 1:
             # Teleportation: Z parities chain through the pair (x), the basis
             # qubit's bit and the outcome's X parity.
             pair, basis = (ca, cb) if len(ca[0]) == 2 else (cb, ca)
-            self._put((rest[0],), (pair[1] >> 1) ^ basis[1] ^ (label >> 1))
+            comp_of[rest[0]] = [(rest[0],), (pair[1] >> 1) ^ basis[1] ^ (label >> 1), 0]
         elif len(rest) == 2:
             # Entanglement swapping: the partners carry the product of the
             # three Paulis, which is the XOR of their labels up to sign.
-            self._put(tuple(sorted(rest)), ca[1] ^ cb[1] ^ label)
+            rest.sort()
+            comp_of[rest[0]] = comp_of[rest[1]] = [tuple(rest), ca[1] ^ cb[1] ^ label, 0]
         return BELL_ORDER[label]
 
     # -- unitaries -------------------------------------------------------
@@ -192,22 +202,11 @@ class QuantumRegister:
 
     # -- internals -------------------------------------------------------
 
-    def _new_id(self) -> int:
-        q = self._next_id
-        self._next_id += 1
-        return q
-
     def _component(self, q: int) -> list:
         try:
             return self._comp_of[q]
         except KeyError:
             raise ValueError(f"unknown qubit id {q!r}") from None
-
-    def _put(self, qubits: tuple[int, ...], label: int) -> None:
-        """Make `qubits` one component in state `label`, with phase 1."""
-        comp = [qubits, label, 0]
-        for q in qubits:
-            self._comp_of[q] = comp
 
     def _bell_case(self, qa: int, qb: int):
         """The components of qa and qb and the outcome weights over BELL_ORDER.
@@ -225,11 +224,6 @@ class QuantumRegister:
         if len(ca[0]) == len(cb[0]) == 1:
             return ca, cb, _BASIS_PAIR[ca[1] ^ cb[1]]
         return ca, cb, _UNIFORM
-
-
-def _p0(comp: list) -> float:
-    """P(Z outcome 0) of either qubit of a component."""
-    return 0.5 if len(comp[0]) == 2 else 1.0 - comp[1]
 
 
 def states_equal(a, b, atol: float = NORM_ATOL) -> bool:

@@ -1,11 +1,13 @@
 """Tests for key generation, interleaving, and key-derived permutations."""
 
+import hashlib
 from itertools import combinations
 from math import comb
 from random import Random
 
 import pytest
 
+from sqdc.codec import pack_bits
 from sqdc.keys import (
     KeyMaterial,
     Permutation,
@@ -130,6 +132,34 @@ def test_permutation_from_key_deterministic():
 
 def test_permutation_pinned_regression():
     assert permutation_from_key([1, 0, 1, 1, 0, 0, 1, 0], 8).mapping == (0, 2, 5, 7, 1, 4, 3, 6)
+
+
+def fisher_yates_reference(k, length):
+    """The explicit Fisher-Yates loop that permutation_from_key replaced."""
+    seed = int.from_bytes(hashlib.sha256(pack_bits(list(k))).digest()[:8], "big")
+    rng = Random(seed)
+    mapping = list(range(length))
+    for i in range(length - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        mapping[i], mapping[j] = mapping[j], mapping[i]
+    return tuple(mapping)
+
+
+def test_permutation_matches_explicit_fisher_yates():
+    rng = Random(8)
+    for length in range(8, 129, 8):
+        for _ in range(13):
+            k = [rng.randrange(2) for _ in range(length)]
+            assert permutation_from_key(k, length).mapping == fisher_yates_reference(k, length)
+
+
+def test_permutation_memo_never_stale():
+    a, b = [0, 1] * 8, [1, 0] * 8
+    expected = {tuple(a): fisher_yates_reference(a, 16), tuple(b): fisher_yates_reference(b, 16)}
+    assert expected[tuple(a)] != expected[tuple(b)]
+    for k in (a, b, a, b):
+        assert permutation_from_key(k, 16).mapping == expected[tuple(k)]
+        assert permutation_from_key(tuple(k), 16).mapping == expected[tuple(k)]
 
 
 def test_permutation_is_bijection():

@@ -195,6 +195,45 @@ def test_bell_measure_entanglement_swap():
         assert max(probs.values()) > 1 - 1e-9
 
 
+def test_same_pair_bell_measure_certain_in_both_orders():
+    # every Bell state, bare or after a Pauli on either half, measured in the
+    # stored and the swapped order: one uniform drawn, the outcome and the
+    # collapsed state of the dense oracle, and the phase reset to 1
+    signs = set()
+    for seed, (bs, pauli, half, swapped) in enumerate(
+        (bs, pauli, half, swapped)
+        for bs in BELL_ORDER
+        for pauli in (None, *Pauli)
+        for half in (0, 1)
+        for swapped in (False, True)
+    ):
+        eng = QuantumRegister(seed)
+        orc = DenseRegister(seed)
+        pair = eng.prepare_bell(bs)
+        assert orc.prepare_bell(bs) == pair
+        if pauli is not None:
+            eng.apply_pauli(pair[half], pauli)
+            orc.apply_pauli(pair[half], pauli)
+        qa, qb = pair[::-1] if swapped else pair
+        (expected,) = [b for b, p in eng.bell_probabilities(*pair).items() if p == 1.0]
+        amps = eng.component_snapshot(qa)[1]
+        sign = 1 if amps == BELL_AMPLITUDES[expected] else -1
+        assert amps == tuple(sign * a for a in BELL_AMPLITUDES[expected])
+        signs.add(sign)
+
+        twin = Random(seed)
+        twin.random()
+        outcome = eng.bell_measure(qa, qb)
+        assert eng.rng.getstate() == twin.getstate()
+        assert outcome == orc.bell_measure(qa, qb)
+        assert states_equal(engine_state(eng, orc.qubits), orc.amps)
+        qubits, amps = eng.component_snapshot(qa)
+        assert set(qubits) == {qa, qb}
+        assert amps == BELL_AMPLITUDES[outcome]
+        assert outcome is expected  # every Bell state is (anti)symmetric
+    assert signs == {1, -1}  # some Paulis leave the phase -1 before the reset
+
+
 def test_bell_measure_identical_qubits_rejected():
     reg = QuantumRegister(0)
     qa, _ = reg.prepare_bell(BellState.PHI_PLUS)
