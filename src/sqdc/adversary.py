@@ -1,9 +1,11 @@
 """Pluggable attack strategies as tamper hooks on the qubit channels.
 
 A strategy sees only the register and the qubit sequences in flight; it has
-no access to key material or to either party's private records. Strategies
-that set `bypasses_bob` capture the forward sequence and answer Alice
-directly, so Bob never runs.
+no access to key material or to either party's private records, and keeps no
+state beyond what its constructor sets. For a strategy that sets
+`bypasses_bob`, Bob never runs: `run_session` hands the forward sequence, as
+`tamper_forward` returned it, straight to `tamper_backward`, whose result
+goes to Alice.
 
 `ATTACKS` is the catalogue of the attacks a configuration can name: how a
 trial builds each one, its parameters, the variants it applies to, and its
@@ -83,34 +85,25 @@ class ImpersonateBobIdealized(AttackStrategy):
 
 
 class ImpersonateBobConcrete(AttackStrategy):
-    """Receiver impersonation by blind guessing: Eve captures the whole
-    forward sequence and answers with a uniformly random half-size subset in
+    """Receiver impersonation by blind guessing: Eve bypasses Bob and answers
+    with a uniformly random half-size subset of the forward sequence in
     uniformly random order."""
 
     bypasses_bob = True
 
     def __init__(self, rng: Random):
         self.rng = rng
-        self._captured = []
-
-    def tamper_forward(self, register, qubits):
-        self._captured = list(qubits)
-        return qubits
 
     def tamper_backward(self, register, qubits):
-        return self.rng.sample(self._captured, len(self._captured) // 2)
+        return self.rng.sample(qubits, len(qubits) // 2)
 
 
 class InterceptResend(AttackStrategy):
     """Eve Z-measures every forward qubit and forwards fresh qubits prepared
     in the observed basis states."""
 
-    def __init__(self):
-        self.observed: list[int] = []
-
     def tamper_forward(self, register, qubits):
-        self.observed = [register.measure_z(q) for q in qubits]
-        return [register.alloc_qubit(b) for b in self.observed]
+        return [register.alloc_qubit(register.measure_z(q)) for q in qubits]
 
 
 class ModifySingleQubit(AttackStrategy):
@@ -130,20 +123,10 @@ class ModifySingleQubit(AttackStrategy):
 
 
 class ReflectAll(AttackStrategy):
-    """Eve captures the forward sequence, bypasses Bob, and returns every
-    qubit untouched in transmitted order (measure-resend variant only)."""
+    """Eve bypasses Bob and returns every forward qubit untouched in
+    transmitted order (measure-resend variant only)."""
 
     bypasses_bob = True
-
-    def __init__(self):
-        self._captured = []
-
-    def tamper_forward(self, register, qubits):
-        self._captured = list(qubits)
-        return qubits
-
-    def tamper_backward(self, register, qubits):
-        return list(self._captured)
 
 
 # -- the catalogue -------------------------------------------------------------

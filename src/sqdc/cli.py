@@ -94,15 +94,16 @@ def main(argv=None) -> int:
                 seed=args.seed,
                 message=args.message,
             )
-            stats = run_experiment(config)
+            text = emit_report(run_experiment(config), args.format)
             if args.out:
                 try:
-                    emit_report(stats, args.format, _resolve_out(args.out))
+                    with open(_resolve_out(args.out), "w", encoding="utf-8") as fh:
+                        fh.write(text)
                 except OSError as exc:
                     print(f"error: cannot write report: {exc}", file=sys.stderr)
                     return 3
             else:
-                sys.stdout.write(emit_report(stats, args.format))
+                sys.stdout.write(text)
         elif args.command == "analytic":
             prob, formula = analytic_detection(
                 args.attack,

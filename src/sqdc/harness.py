@@ -134,7 +134,7 @@ def run_experiment(config: ExperimentConfig) -> DetectionStats:
     """
     config.validate()
     counts = {cause.value: 0 for cause in DetectionCause}
-    bob_accepts = alice_accepts = security_events = detections = 0
+    bob_accepts = alice_accepts = security_events = 0
     for i in range(config.trials):
         outcome = run_trial(config, i)
         counts[outcome.detection_cause.value] += 1
@@ -144,10 +144,9 @@ def run_experiment(config: ExperimentConfig) -> DetectionStats:
             alice_accepts += 1
         if outcome.security_event:
             security_events += 1
-        if outcome.detected:
-            detections += 1
 
     t = config.trials
+    detections = t - counts[DetectionCause.NONE.value]
     analytic, formula = ATTACKS[config.attack].analytic(
         config.variant, config.n, config.attack_params
     )
@@ -221,9 +220,8 @@ def report_dict(stats: DetectionStats) -> dict:
     }
 
 
-def emit_report(stats: DetectionStats, output_format: str, destination=None) -> str:
-    """Render a report as json or csv; optionally write it to a path or
-    file-like destination. Returns the rendered text either way."""
+def emit_report(stats: DetectionStats, output_format: str) -> str:
+    """Render a report as json or csv."""
     report = report_dict(stats)
     if output_format == "json":
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -241,13 +239,6 @@ def emit_report(stats: DetectionStats, output_format: str, destination=None) -> 
         text = buf.getvalue()
     else:
         raise ConfigError(f"unknown output format {output_format!r}")
-
-    if destination is not None:
-        if hasattr(destination, "write"):
-            destination.write(text)
-        else:
-            with open(destination, "w", encoding="utf-8") as fh:
-                fh.write(text)
     return text
 
 

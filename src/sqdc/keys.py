@@ -22,11 +22,15 @@ class KeyMaterial:
     k2: tuple[int, ...] | None = None  # absent in measure-resend sessions
 
     def __post_init__(self):
+        # counting both values checks the balance and that every entry is a bit
         n = len(self.k1)
-        if n % 2 != 0 or sum(self.k1) * 2 != n:
-            raise ValueError("k1 must be a balanced bit string of even length")
-        if self.k2 is not None and len(self.k2) * 2 != n:
-            raise ValueError("k2 must be half the length of k1")
+        if self.k1.count(0) * 2 != n or self.k1.count(1) * 2 != n:
+            raise ValueError("k1 must be a balanced string of bits 0 and 1")
+        if self.k2 is not None:
+            if len(self.k2) * 2 != n:
+                raise ValueError("k2 must be half the length of k1")
+            if self.k2.count(0) + self.k2.count(1) != len(self.k2):
+                raise ValueError("k2 must be a string of bits 0 and 1")
 
 
 def gen_keys(n: int, rng: Random, include_k2: bool = True) -> KeyMaterial:

@@ -42,9 +42,7 @@ class DetectionCause(Enum):
 
 @dataclass
 class AliceSession:
-    variant: Variant
     keys: KeyMaterial
-    message: list[int]
     block: list[int]
     # (retained-or-first qubit, transmitted-or-second qubit, initial Bell state)
     s_pairs: list[tuple[int, int, BellState]]
@@ -94,7 +92,7 @@ def alice_prepare(m, keys: KeyMaterial, register: QuantumRegister, variant: Vari
         c_pairs.append((qc1, qc2, state))
         cb_seq.append(qc2)
 
-    session = AliceSession(variant, keys, list(m), block, s_pairs, c_pairs)
+    session = AliceSession(keys, block, s_pairs, c_pairs)
     return session, interleave(s_seq, cb_seq, keys.k1)
 
 
@@ -125,10 +123,7 @@ def alice_randomization_step4(returned, session: AliceSession, register: Quantum
     if len(returned) != len(session.c_pairs):
         raise ValueError("returned sequence has the wrong length")
     perm = permutation_from_key(session.keys.k2, len(returned))
-    ordered = invert_perm(perm, returned)
-    matches = []
-    for (qc1, _, initial), back in zip(session.c_pairs, ordered):
-        matches.append(register.bell_measure(qc1, back) == initial)
+    matches = _check_pairs(session, invert_perm(perm, returned), register)
     return all(matches), matches
 
 
@@ -164,9 +159,7 @@ def alice_measure_resend_step4(returned, session: AliceSession, register: Quantu
     Returns (verdict, cause, checking-pair match flags).
     """
     s_returned, cb_returned = deinterleave(returned, session.keys.k1)
-    matches = []
-    for (qc1, _, initial), back in zip(session.c_pairs, cb_returned):
-        matches.append(register.bell_measure(qc1, back) == initial)
+    matches = _check_pairs(session, cb_returned, register)
     if not all(matches):
         return False, DetectionCause.BELL_CHECK_FAILED, matches
 
@@ -187,6 +180,15 @@ def alice_measure_resend_step4(returned, session: AliceSession, register: Quantu
     if all_initial:
         return False, DetectionCause.REFLECT_FLAG, matches
     return True, DetectionCause.NONE, matches
+
+
+def _check_pairs(session: AliceSession, returned, register: QuantumRegister):
+    """Bell-measure each retained checking qubit with its returned partner;
+    one flag per pair, True where the outcome is the pair's initial state."""
+    return [
+        register.bell_measure(qc1, back) == initial
+        for (qc1, _, initial), back in zip(session.c_pairs, returned)
+    ]
 
 
 def _decode_block(results):
@@ -212,7 +214,7 @@ def run_session(variant: Variant, m, keys: KeyMaterial, attack, seed) -> RunOutc
     if attack.bypasses_bob:
         bob_ok = None
         m_decoded = None
-        backward = []
+        backward = q_obs
     elif variant is Variant.RANDOMIZATION:
         bob_ok, m_decoded, cb_qubits = bob_randomization_step2(q_obs, keys, register)
         backward = bob_randomization_step3(cb_qubits, keys)

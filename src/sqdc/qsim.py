@@ -77,8 +77,8 @@ class QuantumRegister:
     and operation script.
     """
 
-    def __init__(self, seed=None, rng: Random | None = None):
-        self.rng = rng if rng is not None else Random(seed)
+    def __init__(self, seed=None):
+        self.rng = Random(seed)
         self._next_id = 0
         self._comp_of: dict[int, list] = {}
 

@@ -49,14 +49,22 @@ def test_no_attack_hooks_are_identity():
 
 
 def test_intercept_resend_forwards_fresh_qubits():
-    register = QuantumRegister(1)
-    qa, qb = register.prepare_bell(BellState.PHI_PLUS)
-    attack = InterceptResend()
-    fresh = attack.tamper_forward(register, [qa, qb])
-    assert fresh != [qa, qb]
-    assert attack.observed[0] == attack.observed[1]  # Phi+ is correlated in Z
-    # the forwarded qubits reproduce the observed bits deterministically
-    assert [register.measure_z(q) for q in fresh] == attack.observed
+    seen = set()
+    for seed in range(8):
+        register = QuantumRegister(seed)
+        qa, qb = register.prepare_bell(BellState.PHI_PLUS)
+        fresh = InterceptResend().tamper_forward(register, [qa, qb])
+        assert len(fresh) == 2 and not {qa, qb} & set(fresh)
+        bits = []
+        for q in fresh:
+            # a basis qubit: its Z outcome is certain, and measuring repeats it
+            p0, p1 = register.z_probabilities(q)
+            assert {p0, p1} == {0.0, 1.0}
+            bits.append(register.measure_z(q))
+            assert bits[-1] == int(p1) == register.measure_z(q)
+        assert bits[0] == bits[1]  # Phi+ is correlated in Z
+        seen.add(bits[0])
+    assert seen == {0, 1}
 
 
 def test_intercept_resend_detection_rate_n16():
@@ -183,12 +191,36 @@ def test_reflect_all_always_flagged():
         assert o.detection_cause is DetectionCause.REFLECT_FLAG
 
 
-def test_reflect_all_returns_captured_sequence():
-    attack = ReflectAll()
-    register = QuantumRegister(2)
-    qubits = [register.alloc_qubit(0) for _ in range(4)]
-    assert attack.tamper_forward(register, qubits) == qubits
-    assert attack.tamper_backward(register, []) == qubits
+class RecordingBypass(AttackStrategy):
+    """Bypasses Bob and records what each hook receives. Its forward hook
+    reverses the sequence, so the backward hook must see that reversal."""
+
+    bypasses_bob = True
+
+    def __init__(self, keep):
+        self.keep = keep
+        self.seen = {}
+
+    def tamper_forward(self, register, qubits):
+        self.seen["forward"] = list(qubits)
+        return qubits[::-1]
+
+    def tamper_backward(self, register, qubits):
+        self.seen["backward"] = list(qubits)
+        return qubits[: self.keep]
+
+
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_bypassing_attack_receives_forward_sequence(variant):
+    n = 16
+    rng = Random(3)
+    keys = gen_keys(n, rng, include_k2=variant is Variant.RANDOMIZATION)
+    # Alice's check needs n/2 returned qubits in randomization, n in measure-resend
+    attack = RecordingBypass(n // 2 if variant is Variant.RANDOMIZATION else n)
+    outcome = run_session(variant, random_bits(n // 8, rng), keys, attack, 7)
+    assert len(attack.seen["forward"]) == n
+    assert attack.seen["backward"] == attack.seen["forward"][::-1]
+    assert outcome.bob_accepts is None and outcome.decoded_message is None
 
 
 # -- reordered-reflection correlations ------------------------------------------

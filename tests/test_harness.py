@@ -316,28 +316,25 @@ GOLDEN_REPORTS = [
         "9998b375fe38a4075a27d35b144f7d1d15e7d608523c68b1e7357df69afa0a1e",
         "30c446f9e4ead48682bab9d2fa8ef98494676229972d061ead66c3f7ec98b047",
     ),
+    (
+        dict(variant=Variant.MEASURE_RESEND, attack="reflect_all", n=24, trials=30, seed=9),
+        "404eaa0b77201cfa6cd1f939ab85d0c039fce491833bfa34cbee9a39bb96f148",
+        "1137a367412453caba7fb439639086effed84a8c01c0bfc5c64c1629e733fcac",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "overrides, json_sha, csv_sha",
     GOLDEN_REPORTS,
-    ids=["fixed-message", "no-closed-form", "s_msg", "concrete", "position-target"],
+    ids=[
+        "fixed-message", "no-closed-form", "s_msg", "concrete", "position-target", "reflect-all",
+    ],
 )
 def test_report_bytes_pinned(overrides, json_sha, csv_sha):
     stats = run_experiment(make_config(**overrides))
     for fmt, expected in (("json", json_sha), ("csv", csv_sha)):
         assert hashlib.sha256(emit_report(stats, fmt).encode()).hexdigest() == expected
-
-
-def test_emit_report_to_path_and_stream(tmp_path):
-    stats = run_experiment(make_config(trials=10))
-    path = tmp_path / "report.json"
-    text = emit_report(stats, "json", str(path))
-    assert path.read_text(encoding="utf-8") == text
-    buf = io.StringIO()
-    emit_report(stats, "json", buf)
-    assert buf.getvalue() == text
 
 
 def test_emit_report_bad_format():

@@ -54,6 +54,10 @@ def test_key_material_validation():
         KeyMaterial(k1=(1, 1, 0, 1))  # unbalanced
     with pytest.raises(ValueError):
         KeyMaterial(k1=(0, 1, 1, 0), k2=(0,))  # wrong k2 length
+    with pytest.raises(ValueError, match="bits"):
+        KeyMaterial(k1=(2, 0, 0, 0))  # passes the balance sum, but 2 is not a bit
+    with pytest.raises(ValueError, match="bits"):
+        KeyMaterial(k1=(0, 1, 1, 0), k2=(7, 0))
 
 
 # -- interleaving -----------------------------------------------------------------
