@@ -4,8 +4,8 @@ Carlo verification of their eavesdropping-detection probabilities."""
 
 __version__ = "0.1.0"
 
-from .qsim import BellState, Pauli, QuantumRegister, states_equal
-from .keys import KeyMaterial, Permutation, gen_keys
+from .qsim import BellState, Pauli, QuantumRegister
+from .keys import KeyMaterial, gen_keys
 from .protocol import DetectionCause, RunOutcome, Variant, run_session
 from .adversary import AttackStrategy
 
@@ -15,12 +15,10 @@ __all__ = [
     "DetectionCause",
     "KeyMaterial",
     "Pauli",
-    "Permutation",
     "QuantumRegister",
     "RunOutcome",
     "Variant",
     "gen_keys",
     "run_session",
-    "states_equal",
     "__version__",
 ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from random import Random
 
-from .keys import interleave
+from .keys import gen_keys, interleave
 from .protocol import Variant
 from .qsim import BellState, Pauli, QuantumRegister
 
@@ -38,7 +38,8 @@ class ImpersonateAlice(AttackStrategy):
     """Eve discards the transmitted sequence and substitutes her own forgery.
 
     Her strongest keyless mimicry of the sender: fresh Bell pairs drawn from
-    the protocol alphabet, interleaved by a random balanced string.
+    the protocol alphabet, interleaved by a guessed k1 drawn as the protocol
+    draws one.
     """
 
     def __init__(self, rng: Random):
@@ -56,9 +57,7 @@ class ImpersonateAlice(AttackStrategy):
             state = BellState.PHI_PLUS if self.rng.random() < 0.5 else BellState.PSI_MINUS
             q1, _ = register.prepare_bell(state)  # Eve keeps the partner
             fake_cb.append(q1)
-        guess = [0] * (n // 2) + [1] * (n // 2)
-        self.rng.shuffle(guess)
-        return interleave(fake_s, fake_cb, guess)
+        return interleave(fake_s, fake_cb, gen_keys(n, self.rng, include_k2=False))
 
 
 class ImpersonateBobIdealized(AttackStrategy):

@@ -15,6 +15,9 @@ from .qsim import BellState
 
 HASH_NAME = "sha256"
 
+# A checksum as long as the message cannot exceed the 256-bit digest.
+MAX_MESSAGE_BITS = 256
+
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
@@ -40,19 +43,18 @@ def pack_bits(bits) -> bytes:
     return bytes(out)
 
 
-def hash_checksum(m, L: int):
-    """First L bits of the SHA-256 digest of the packed message."""
-    if L <= 0:
-        raise ValueError("checksum length must be positive")
-    if len(m) != L:
-        raise ValueError(f"expected a {L}-bit message, got {len(m)} bits")
+def hash_checksum(m):
+    """First len(m) bits of the SHA-256 digest of the packed message."""
+    L = len(m)
+    if not 0 < L <= MAX_MESSAGE_BITS:
+        raise ValueError(f"message must have 1..{MAX_MESSAGE_BITS} bits, got {L}")
     digest = hashlib.sha256(pack_bits(m)).digest()
     return [(digest[i // 8] >> (7 - i % 8)) & 1 for i in range(L)]
 
 
 def build_block(m):
     """M = m || checksum(m); doubles the bit length."""
-    return list(m) + hash_checksum(m, len(m))
+    return list(m) + hash_checksum(m)
 
 
 def verify_block(block):
@@ -64,7 +66,7 @@ def verify_block(block):
         raise ValueError("block length must be even")
     half = len(block) // 2
     m = list(block[:half])
-    return hash_checksum(m, half) == list(block[half:]), m
+    return hash_checksum(m) == list(block[half:]), m
 
 
 def encode_bit(b: int) -> BellState:

@@ -17,7 +17,7 @@ from random import Random
 
 from . import __version__
 from .adversary import ATTACKS, Attack
-from .codec import HASH_NAME, bits_to_hex, hex_to_bits, random_bits
+from .codec import HASH_NAME, MAX_MESSAGE_BITS, bits_to_hex, hex_to_bits, random_bits
 from .keys import KeyMaterial, gen_keys
 from .protocol import DetectionCause, Variant, run_session
 
@@ -58,8 +58,8 @@ class ExperimentConfig:
 def _attack_entry(attack, variant: Variant, n: int, params) -> Attack:
     """Check n and the attack's variant and parameters against the catalogue;
     return the attack's entry."""
-    if type(n) is not int or n % 8 != 0 or n < 16:
-        raise ConfigError(f"n must be a multiple of 8 and at least 16, got {n!r}")
+    if type(n) is not int or n % 8 != 0 or not 16 <= n <= 8 * MAX_MESSAGE_BITS:
+        raise ConfigError(f"n must be a multiple of 8 in 16..{8 * MAX_MESSAGE_BITS}, got {n!r}")
     if not isinstance(attack, str) or attack not in ATTACKS:
         raise ConfigError(f"unknown attack {attack!r}")
     entry = ATTACKS[attack]
@@ -84,9 +84,10 @@ class DetectionStats:
     config: ExperimentConfig
 
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z_99):
-    """Wilson score interval for a binomial proportion; stays well-behaved
-    for proportions at or near 0 and 1."""
+def wilson_interval(successes: int, trials: int):
+    """Wilson 99% score interval for a binomial proportion; stays
+    well-behaved for proportions at or near 0 and 1."""
+    z = WILSON_Z_99
     if trials < 1:
         raise ValueError("trials must be positive")
     phat = successes / trials
@@ -246,7 +247,7 @@ def emit_report(stats: DetectionStats, output_format: str) -> str:
 #
 # Schema (JSON object):
 #   variant  : "randomization" | "measure-resend"
-#   n        : int, multiple of 8, >= 16
+#   n        : int, multiple of 8, 16..2048
 #   message  : hex string carrying at least n/8 bits
 #   k1       : hex string carrying n bits (must be balanced)
 #   k2       : hex string carrying n/2 bits, or null (measure-resend)

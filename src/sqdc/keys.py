@@ -4,6 +4,10 @@ k1 (n bits, balanced) decides per transmitted position whether it carries a
 message qubit (bit 0) or a checking qubit (bit 1); in the measure-resend
 variant the same bit selects Bob's SHARE (0) or CHECK (1) mode. k2 (n/2 bits)
 seeds a Fisher-Yates shuffle that reorders the reflected checking qubits.
+
+`KeyMaterial` alone checks these invariants; `interleave` and `deinterleave`
+take it and trust its k1. A permutation is a tuple p sending input position i
+to p[i], a bijection because it is a shuffle of range(len(p)).
 """
 
 from __future__ import annotations
@@ -44,72 +48,55 @@ def gen_keys(n: int, rng: Random, include_k2: bool = True) -> KeyMaterial:
     return KeyMaterial(k1=tuple(k1), k2=k2)
 
 
-def interleave(s, cb, k1):
+def interleave(s, cb, keys: KeyMaterial):
     """Merge the message sequence s (k1 bit 0) and checking sequence cb
     (k1 bit 1) into one transmitted sequence, preserving relative order."""
     if len(s) != len(cb):
         raise ValueError("sequences must have equal length")
-    if len(k1) != len(s) + len(cb):
+    if len(keys.k1) != len(s) + len(cb):
         raise ValueError("k1 length must equal the combined sequence length")
-    if sum(k1) * 2 != len(k1):
-        raise ValueError("k1 must be balanced")
     it_s = iter(s)
     it_c = iter(cb)
-    return [next(it_c) if bit else next(it_s) for bit in k1]
+    return [next(it_c) if bit else next(it_s) for bit in keys.k1]
 
 
-def deinterleave(q, k1):
+def deinterleave(q, keys: KeyMaterial):
     """Exact inverse of interleave: split q back into (s, cb)."""
-    if len(q) != len(k1):
+    if len(q) != len(keys.k1):
         raise ValueError("sequence length must equal k1 length")
-    if sum(k1) * 2 != len(k1):
-        raise ValueError("k1 must be balanced")
     s, cb = [], []
-    for bit, x in zip(k1, q):
+    for bit, x in zip(keys.k1, q):
         (cb if bit else s).append(x)
     return s, cb
 
 
-@dataclass(frozen=True)
-class Permutation:
-    mapping: tuple[int, ...]  # element at input position i goes to mapping[i]
-
-    def __post_init__(self):
-        if sorted(self.mapping) != list(range(len(self.mapping))):
-            raise ValueError("mapping must be a bijection on 0..len-1")
-
-    def __len__(self):
-        return len(self.mapping)
-
-
-def permutation_from_key(k, length: int) -> Permutation:
-    """Deterministic permutation from a key: Fisher-Yates driven by a stream
-    seeded with the hash of the key (hashing decorrelates similar keys)."""
-    if length != len(k):
-        raise ValueError("permutation length must equal the key length")
+def permutation_from_key(k) -> tuple[int, ...]:
+    """Deterministic permutation of len(k) positions from a key: Fisher-Yates
+    driven by a stream seeded with the hash of the key (hashing decorrelates
+    similar keys)."""
     return _permutation(tuple(k))
 
 
 @lru_cache(maxsize=1)
-def _permutation(k: tuple) -> Permutation:
+def _permutation(k: tuple) -> tuple[int, ...]:
     """Bob's step 3 and Alice's step 4 derive the same k2 permutation, so the
     last one is kept."""
     seed = int.from_bytes(hashlib.sha256(pack_bits(k)).digest()[:8], "big")
     mapping = list(range(len(k)))
     Random(seed).shuffle(mapping)  # draws randbelow(i + 1) for i = len-1 .. 1
-    return Permutation(tuple(mapping))
+    return tuple(mapping)
 
 
-def apply_perm(p: Permutation, seq):
+def apply_perm(p: tuple[int, ...], seq):
     if len(seq) != len(p):
         raise ValueError("sequence length must match permutation length")
     out = [None] * len(seq)
     for i, x in enumerate(seq):
-        out[p.mapping[i]] = x
+        out[p[i]] = x
     return out
 
 
-def invert_perm(p: Permutation, seq):
+def invert_perm(p: tuple[int, ...], seq):
     if len(seq) != len(p):
         raise ValueError("sequence length must match permutation length")
-    return [seq[p.mapping[i]] for i in range(len(seq))]
+    return [seq[j] for j in p]

@@ -93,7 +93,7 @@ def alice_prepare(m, keys: KeyMaterial, register: QuantumRegister, variant: Vari
         cb_seq.append(qc2)
 
     session = AliceSession(keys, block, s_pairs, c_pairs)
-    return session, interleave(s_seq, cb_seq, keys.k1)
+    return session, interleave(s_seq, cb_seq, keys)
 
 
 # -- randomization-based variant --------------------------------------------
@@ -104,15 +104,14 @@ def bob_randomization_step2(q_seq, keys: KeyMaterial, register: QuantumRegister)
 
     Returns (verdict, decoded message, checking qubits in k1 order).
     """
-    s_qubits, cb_qubits = deinterleave(q_seq, keys.k1)
+    s_qubits, cb_qubits = deinterleave(q_seq, keys)
     ok, m_decoded = _decode_block([register.measure_z(q) for q in s_qubits])
     return ok, m_decoded, cb_qubits
 
 
 def bob_randomization_step3(cb_qubits, keys: KeyMaterial):
     """Step 3: reorder the checking qubits by the k2-derived permutation."""
-    perm = permutation_from_key(keys.k2, len(cb_qubits))
-    return apply_perm(perm, cb_qubits)
+    return apply_perm(permutation_from_key(keys.k2), cb_qubits)
 
 
 def alice_randomization_step4(returned, session: AliceSession, register: QuantumRegister):
@@ -122,7 +121,7 @@ def alice_randomization_step4(returned, session: AliceSession, register: Quantum
     """
     if len(returned) != len(session.c_pairs):
         raise ValueError("returned sequence has the wrong length")
-    perm = permutation_from_key(session.keys.k2, len(returned))
+    perm = permutation_from_key(session.keys.k2)
     matches = _check_pairs(session, invert_perm(perm, returned), register)
     return all(matches), matches
 
@@ -158,7 +157,7 @@ def alice_measure_resend_step4(returned, session: AliceSession, register: Quantu
 
     Returns (verdict, cause, checking-pair match flags).
     """
-    s_returned, cb_returned = deinterleave(returned, session.keys.k1)
+    s_returned, cb_returned = deinterleave(returned, session.keys)
     matches = _check_pairs(session, cb_returned, register)
     if not all(matches):
         return False, DetectionCause.BELL_CHECK_FAILED, matches

@@ -24,8 +24,6 @@ from __future__ import annotations
 from enum import Enum
 from random import Random
 
-NORM_ATOL = 1e-9
-
 _INV_SQRT2 = 2 ** -0.5
 
 
@@ -103,12 +101,6 @@ class QuantumRegister:
         return qa, qb
 
     # -- measurement -----------------------------------------------------
-
-    def z_probabilities(self, q: int) -> tuple[float, float]:
-        """Outcome probabilities of a Z-basis measurement, without measuring."""
-        qubits, bit, _ = self._component(q)
-        p0 = 0.5 if len(qubits) == 2 else 1.0 - bit
-        return p0, 1.0 - p0
 
     def measure_z(self, q: int) -> int:
         """Measure one qubit in the computational basis with Born-rule collapse.
@@ -225,17 +217,3 @@ class QuantumRegister:
             return ca, cb, _BASIS_PAIR[ca[1] ^ cb[1]]
         return ca, cb, _UNIFORM
 
-
-def states_equal(a, b, atol: float = NORM_ATOL) -> bool:
-    """Amplitude-vector equality up to a global phase."""
-    if len(a) != len(b):
-        return False
-    pivot = max(range(len(a)), key=lambda i: abs(a[i]))
-    if abs(a[pivot]) < atol and max(abs(x) for x in b) < atol:
-        return True
-    if abs(b[pivot]) < atol:
-        return False
-    phase = a[pivot] / b[pivot]
-    if abs(abs(phase) - 1.0) > 1e-6:
-        return False
-    return all(abs(x - phase * y) <= atol * 10 for x, y in zip(a, b))

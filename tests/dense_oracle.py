@@ -13,6 +13,8 @@ from random import Random
 
 from sqdc.qsim import BELL_AMPLITUDES, BELL_ORDER, BellState, Pauli
 
+NORM_ATOL = 1e-9
+
 _PAULI_MATRIX = {
     Pauli.X: (0.0, 1.0, 1.0, 0.0),
     Pauli.Z: (1.0, 0.0, 0.0, -1.0),
@@ -164,3 +166,18 @@ class DenseRegister:
             a0, a1 = self.amps[i0], self.amps[i1]
             self.amps[i0] = m00 * a0 + m01 * a1
             self.amps[i1] = m10 * a0 + m11 * a1
+
+
+def states_equal(a, b, atol: float = NORM_ATOL) -> bool:
+    """Amplitude-vector equality up to a global phase."""
+    if len(a) != len(b):
+        return False
+    pivot = max(range(len(a)), key=lambda i: abs(a[i]))
+    if abs(a[pivot]) < atol and max(abs(x) for x in b) < atol:
+        return True
+    if abs(b[pivot]) < atol:
+        return False
+    phase = a[pivot] / b[pivot]
+    if abs(abs(phase) - 1.0) > 1e-6:
+        return False
+    return all(abs(x - phase * y) <= atol * 10 for x, y in zip(a, b))

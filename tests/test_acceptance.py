@@ -226,7 +226,8 @@ def test_criterion_7_reflect_all():
 def test_criterion_8_engine_matches_dense_oracle():
     """200 random operation scripts (up to 8 qubits, 20 ops): the component
     engine and an independent dense state-vector oracle agree on every
-    outcome probability to 1e-9 and on every sampled outcome exactly."""
+    Bell-outcome probability to 1e-9, on every sampled outcome exactly, and
+    on the full state after every step."""
     worst = 0.0
     for trial in range(200):
         worst = max(worst, run_scripted_comparison(trial, Random(8000 + trial)))
@@ -234,7 +235,7 @@ def test_criterion_8_engine_matches_dense_oracle():
     report(
         8,
         "component engine vs dense oracle: 200 scripts, exact outcomes, "
-        "probabilities within 1e-9",
+        "Bell-outcome probabilities within 1e-9",
         ok,
         f"worst_probability_deviation={worst:.3e}",
     )

@@ -57,11 +57,11 @@ def test_intercept_resend_forwards_fresh_qubits():
         assert len(fresh) == 2 and not {qa, qb} & set(fresh)
         bits = []
         for q in fresh:
-            # a basis qubit: its Z outcome is certain, and measuring repeats it
-            p0, p1 = register.z_probabilities(q)
-            assert {p0, p1} == {0.0, 1.0}
+            # a basis qubit |b>: its Z outcome is b, and measuring repeats it
+            qubits, amps = register.component_snapshot(q)
+            assert qubits == (q,) and amps in ((1, 0), (0, 1))
             bits.append(register.measure_z(q))
-            assert bits[-1] == int(p1) == register.measure_z(q)
+            assert bits[-1] == amps.index(1) == register.measure_z(q)
         assert bits[0] == bits[1]  # Phi+ is correlated in Z
         seen.add(bits[0])
     assert seen == {0, 1}

@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 from sqdc.codec import (
+    MAX_MESSAGE_BITS,
     bits_to_hex,
     build_block,
     decode_pair,
@@ -26,19 +27,21 @@ def test_checksum_deterministic():
     rng = Random(0)
     for _ in range(50):
         m = random_bits(8, rng)
-        assert hash_checksum(m, 8) == hash_checksum(m, 8)
+        assert hash_checksum(m) == hash_checksum(m)
 
 
 def test_checksum_pinned_vector_zero_byte():
     # sha256(0x000800)[:1] = 0x8f
-    assert hash_checksum([0] * 8, 8) == [1, 0, 0, 0, 1, 1, 1, 1]
+    assert hash_checksum([0] * 8) == [1, 0, 0, 0, 1, 1, 1, 1]
 
 
 def test_checksum_length_validation():
+    # a checksum as long as the message cannot outgrow the 256-bit digest
+    assert len(hash_checksum([1] * MAX_MESSAGE_BITS)) == MAX_MESSAGE_BITS == 256
     with pytest.raises(ValueError):
-        hash_checksum([0, 1], 3)
+        hash_checksum([1] * (MAX_MESSAGE_BITS + 1))
     with pytest.raises(ValueError):
-        hash_checksum([], 0)
+        hash_checksum([])
 
 
 def test_checksum_avalanche_exhaustive():
@@ -47,11 +50,11 @@ def test_checksum_avalanche_exhaustive():
     cases = 0
     for v in range(256):
         m = [(v >> (7 - i)) & 1 for i in range(8)]
-        hm = hash_checksum(m, 8)
+        hm = hash_checksum(m)
         for i in range(8):
             m2 = list(m)
             m2[i] ^= 1
-            h2 = hash_checksum(m2, 8)
+            h2 = hash_checksum(m2)
             changed_bits += sum(a != b for a, b in zip(hm, h2))
             cases += 1
     # output bits change in at least 35% of sampled cases
@@ -75,7 +78,7 @@ def test_build_block_lengths():
     block = build_block(m)
     assert len(block) == 8
     assert block[:4] == m
-    assert block[4:] == hash_checksum(m, 4)
+    assert block[4:] == hash_checksum(m)
 
 
 def test_build_block_pinned():

@@ -346,13 +346,13 @@ def test_emit_report_bad_format():
 # -- single-session configuration documents ---------------------------------------
 
 
-def session_doc(seed=5, **overrides):
+def session_doc(seed=5, size=16, **overrides):
     rng = Random(seed)
-    keys = gen_keys(16, rng)
-    m = random_bits(2, rng)
+    keys = gen_keys(size, rng)
+    m = random_bits(size // 8, rng)
     doc = {
         "variant": "randomization",
-        "n": 16,
+        "n": size,
         "message": bits_to_hex(m),
         "k1": bits_to_hex(list(keys.k1)),
         "k2": bits_to_hex(list(keys.k2)),
@@ -391,6 +391,9 @@ def test_session_config_parsing_errors():
     doc, _ = session_doc(k1="ffff")  # unbalanced
     with pytest.raises(ConfigError):
         run_session_from_config(doc)
+    doc, _ = session_doc(size=2056)  # full size, but n/8 bits outgrow SHA-256
+    with pytest.raises(ConfigError, match="2048"):
+        run_session_from_config(doc)
     with pytest.raises(ConfigError):
         load_session_config("[]")
     with pytest.raises(ConfigError):
@@ -417,6 +420,11 @@ def test_session_config_parsing_errors():
         doc, _ = session_doc(**overrides)
         with pytest.raises(ConfigError):
             run_session_from_config(doc)
+
+
+def test_max_n_runs_one_trial():
+    stats = run_experiment(make_config(n=2048, trials=1))
+    assert stats.cause_counts["none"] == 1
 
 
 def test_session_config_round_trip_through_json():
@@ -541,6 +549,9 @@ RUN = ["run", "--variant", "randomization", "--n", "16", "--trials", "5", "--see
         ["analytic", "--attack", "no_attack", "--n", "3"],
         ["analytic", "--attack", "reflect_all", "--variant", "randomization", "--n", "16"],
         ["analytic", "--attack", "intercept_resend", "--attack-param", "mode=concrete", "--n", "16"],
+        # n above 2048 would need a checksum longer than SHA-256's 256 bits
+        ["analytic", "--attack", "no_attack", "--n", "4096"],
+        RUN[:3] + ["--n", "2056", "--trials", "1", "--seed", "1", "--attack", "no_attack"],
     ],
 )
 def test_cli_invalid_input_exit_code(argv, capsys):

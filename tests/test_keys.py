@@ -10,7 +10,6 @@ import pytest
 from sqdc.codec import pack_bits
 from sqdc.keys import (
     KeyMaterial,
-    Permutation,
     apply_perm,
     deinterleave,
     gen_keys,
@@ -64,36 +63,42 @@ def test_key_material_validation():
 
 
 def test_interleave_example():
-    assert interleave(["a", "b"], ["x", "y"], [0, 1, 1, 0]) == ["a", "x", "y", "b"]
+    keys = KeyMaterial(k1=(0, 1, 1, 0))
+    assert interleave(["a", "b"], ["x", "y"], keys) == ["a", "x", "y", "b"]
 
 
 def test_interleave_degenerate_pattern():
-    k1 = [0] * 4 + [1] * 4
+    keys = KeyMaterial(k1=(0,) * 4 + (1,) * 4)
     s = list("abcd")
     cb = list("wxyz")
-    assert interleave(s, cb, k1) == s + cb
+    assert interleave(s, cb, keys) == s + cb
 
 
 def test_deinterleave_example():
-    assert deinterleave(["a", "x", "y", "b"], [0, 1, 1, 0]) == (["a", "b"], ["x", "y"])
+    keys = KeyMaterial(k1=(0, 1, 1, 0))
+    assert deinterleave(["a", "x", "y", "b"], keys) == (["a", "b"], ["x", "y"])
 
 
 def test_interleave_validation():
-    with pytest.raises(ValueError):
-        interleave([1], [2, 3], [0, 1, 1])
-    with pytest.raises(ValueError):
-        interleave([1, 2], [3, 4], [1, 1, 1, 0])  # unbalanced
-    with pytest.raises(ValueError):
-        deinterleave([1, 2, 3], [0, 1])
+    keys = KeyMaterial(k1=(0, 1, 1, 0))
+    with pytest.raises(ValueError, match="equal length"):
+        interleave([1], [2, 3], keys)
+    with pytest.raises(ValueError, match="k1 length"):
+        interleave([1], [2], keys)
+    with pytest.raises(ValueError, match="sequence length must equal k1 length"):
+        deinterleave([1, 2, 3], keys)
+    # an unbalanced k1 never reaches either function: the type rejects it
+    with pytest.raises(ValueError, match="balanced"):
+        KeyMaterial(k1=(1, 1, 1, 0))
 
 
 def test_round_trip_exhaustive_n16():
     # every balanced 16-bit key
     q = list(range(16))
     for ones in combinations(range(16), 8):
-        k1 = [1 if i in ones else 0 for i in range(16)]
-        s, cb = deinterleave(q, k1)
-        assert interleave(s, cb, k1) == q
+        keys = KeyMaterial(k1=tuple(1 if i in ones else 0 for i in range(16)))
+        s, cb = deinterleave(q, keys)
+        assert interleave(s, cb, keys) == q
     assert comb(16, 8) == 12870  # the size of the hidden-split space
 
 
@@ -101,12 +106,11 @@ def test_round_trip_randomized_large():
     rng = Random(21)
     for _ in range(100):
         n = rng.choice([32, 64])
-        k1 = [0] * (n // 2) + [1] * (n // 2)
-        rng.shuffle(k1)
+        keys = gen_keys(n, rng, include_k2=False)
         s = [("s", i) for i in range(n // 2)]
         cb = [("c", i) for i in range(n // 2)]
-        q = interleave(s, cb, k1)
-        assert deinterleave(q, k1) == (s, cb)
+        q = interleave(s, cb, keys)
+        assert deinterleave(q, keys) == (s, cb)
 
 
 def test_split_hiding_operational():
@@ -131,11 +135,11 @@ def test_split_hiding_operational():
 
 def test_permutation_from_key_deterministic():
     k = [1, 0, 1, 1, 0, 0, 1, 0]
-    assert permutation_from_key(k, 8) == permutation_from_key(k, 8)
+    assert permutation_from_key(k) == permutation_from_key(k)
 
 
 def test_permutation_pinned_regression():
-    assert permutation_from_key([1, 0, 1, 1, 0, 0, 1, 0], 8).mapping == (0, 2, 5, 7, 1, 4, 3, 6)
+    assert permutation_from_key([1, 0, 1, 1, 0, 0, 1, 0]) == (0, 2, 5, 7, 1, 4, 3, 6)
 
 
 def fisher_yates_reference(k, length):
@@ -154,7 +158,7 @@ def test_permutation_matches_explicit_fisher_yates():
     for length in range(8, 129, 8):
         for _ in range(13):
             k = [rng.randrange(2) for _ in range(length)]
-            assert permutation_from_key(k, length).mapping == fisher_yates_reference(k, length)
+            assert permutation_from_key(k) == fisher_yates_reference(k, length)
 
 
 def test_permutation_memo_never_stale():
@@ -162,22 +166,16 @@ def test_permutation_memo_never_stale():
     expected = {tuple(a): fisher_yates_reference(a, 16), tuple(b): fisher_yates_reference(b, 16)}
     assert expected[tuple(a)] != expected[tuple(b)]
     for k in (a, b, a, b):
-        assert permutation_from_key(k, 16).mapping == expected[tuple(k)]
-        assert permutation_from_key(tuple(k), 16).mapping == expected[tuple(k)]
+        assert permutation_from_key(k) == expected[tuple(k)]
+        assert permutation_from_key(tuple(k)) == expected[tuple(k)]
 
 
 def test_permutation_is_bijection():
+    # every k2 length a session can have: n/2 for n = 16, 24, ..., 2048
     rng = Random(3)
-    for _ in range(50):
-        length = rng.choice([4, 8, 16])
-        k = [rng.randrange(2) for _ in range(length)]
-        p = permutation_from_key(k, length)
-        assert sorted(p.mapping) == list(range(length))
-
-
-def test_permutation_length_mismatch():
-    with pytest.raises(ValueError):
-        permutation_from_key([0, 1], 3)
+    for n in range(16, 2049, 8):
+        k = [rng.randrange(2) for _ in range(n // 2)]
+        assert sorted(permutation_from_key(k)) == list(range(n // 2))
 
 
 def test_permutation_collisions_match_birthday_expectation():
@@ -188,7 +186,7 @@ def test_permutation_collisions_match_birthday_expectation():
     colliding_pairs = 0
     for v in range(256):
         k = [(v >> (7 - i)) & 1 for i in range(8)]
-        mapping = permutation_from_key(k, 8).mapping
+        mapping = permutation_from_key(k)
         colliding_pairs += seen.get(mapping, 0)
         seen[mapping] = seen.get(mapping, 0) + 1
     assert colliding_pairs <= 4
@@ -199,20 +197,21 @@ def test_apply_invert_round_trip():
     for _ in range(100):
         length = rng.choice([4, 8, 12])
         k = [rng.randrange(2) for _ in range(length)]
-        p = permutation_from_key(k, length)
+        p = permutation_from_key(k)
         seq = [rng.random() for _ in range(length)]
         assert invert_perm(p, apply_perm(p, seq)) == seq
 
 
 def test_identity_and_reversal_permutations():
-    ident = Permutation((0, 1, 2))
-    assert apply_perm(ident, ["a", "b", "c"]) == ["a", "b", "c"]
-    rev = Permutation((2, 1, 0))
-    assert apply_perm(rev, ["a", "b", "c"]) == ["c", "b", "a"]
+    assert apply_perm((0, 1, 2), ["a", "b", "c"]) == ["a", "b", "c"]
+    assert apply_perm((2, 1, 0), ["a", "b", "c"]) == ["c", "b", "a"]
+    # position i goes to p[i]; inverting reads position p[i] back
+    assert apply_perm((1, 2, 0), ["a", "b", "c"]) == ["c", "a", "b"]
+    assert invert_perm((1, 2, 0), ["c", "a", "b"]) == ["a", "b", "c"]
 
 
 def test_permutation_validation():
     with pytest.raises(ValueError):
-        Permutation((0, 0, 2))
+        apply_perm((1, 0), [1, 2, 3])
     with pytest.raises(ValueError):
-        apply_perm(Permutation((1, 0)), [1, 2, 3])
+        invert_perm((1, 0), [1, 2, 3])

@@ -102,7 +102,7 @@ def test_modify_one_s_qubit_flips_exactly_one_block_bit():
         s_positions = [i for i, b in enumerate(keys.k1) if b == 0]
         j = rng.randrange(len(s_positions))
         register.apply_pauli(q_seq[s_positions[j]], Pauli.IY)
-        s_qubits, _ = deinterleave(q_seq, keys.k1)
+        s_qubits, _ = deinterleave(q_seq, keys)
         results = [register.measure_z(q) for q in s_qubits]
         block = [decode_pair(results[2 * i], results[2 * i + 1]) for i in range(8)]
         diff = [i for i in range(8) if block[i] != session.block[i]]
@@ -186,7 +186,7 @@ def test_measure_resend_returned_bell_outcomes_uniform_on_allowed_set():
     for seed in range(sessions):
         m, keys, register, session, q_seq = make_session(64, seed, Variant.MEASURE_RESEND)
         _, _, returned = bob_measure_resend_step23(q_seq, keys, register)
-        s_returned, _ = deinterleave(returned, keys.k1)
+        s_returned, _ = deinterleave(returned, keys)
         for i, (_, _, initial) in enumerate(session.s_pairs):
             outcome = register.bell_measure(s_returned[2 * i], s_returned[2 * i + 1])
             bit = session.block[i]
