@@ -21,26 +21,24 @@ MAX_MESSAGE_BITS = 256
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
+def _bits_to_int(bits) -> int:
+    """The bits read MSB-first as one integer."""
+    value = 0
+    for b in bits:
+        if b not in (0, 1):
+            raise ValueError(f"bits must be 0/1, got {b!r}")
+        value = (value << 1) | b
+    return value
+
+
 def pack_bits(bits) -> bytes:
     """Byte-pack a bit sequence: 16-bit big-endian length prefix, then the
     bits MSB-first, zero-padded to a byte boundary."""
     n = len(bits)
     if n > 0xFFFF:
         raise ValueError("bit string too long to pack")
-    out = bytearray(n.to_bytes(2, "big"))
-    acc = 0
-    filled = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"bits must be 0/1, got {b!r}")
-        acc = (acc << 1) | b
-        filled += 1
-        if filled == 8:
-            out.append(acc)
-            acc = filled = 0
-    if filled:
-        out.append(acc << (8 - filled))
-    return bytes(out)
+    size = (n + 7) // 8
+    return n.to_bytes(2, "big") + (_bits_to_int(bits) << (8 * size - n)).to_bytes(size, "big")
 
 
 def hash_checksum(m):
@@ -93,11 +91,7 @@ def random_bits(k: int, rng: Random):
 def bits_to_hex(bits) -> str:
     """Hex rendering, MSB-first, zero-padded to a 4-bit boundary."""
     pad = (-len(bits)) % 4
-    value = 0
-    for b in bits:
-        value = (value << 1) | b
-    value <<= pad
-    return format(value, f"0{(len(bits) + pad) // 4}x")
+    return format(_bits_to_int(bits) << pad, f"0{(len(bits) + pad) // 4}x")
 
 
 def hex_to_bits(text: str, nbits: int):

@@ -17,8 +17,8 @@ from random import Random
 
 from . import __version__
 from .adversary import ATTACKS, Attack
-from .codec import HASH_NAME, MAX_MESSAGE_BITS, bits_to_hex, hex_to_bits, random_bits
-from .keys import KeyMaterial, gen_keys
+from .codec import HASH_NAME, bits_to_hex, hex_to_bits, random_bits
+from .keys import KeyMaterial, check_n, gen_keys
 from .protocol import DetectionCause, Variant, run_session
 
 WILSON_Z_99 = 2.5758293035489004
@@ -58,8 +58,10 @@ class ExperimentConfig:
 def _attack_entry(attack, variant: Variant, n: int, params) -> Attack:
     """Check n and the attack's variant and parameters against the catalogue;
     return the attack's entry."""
-    if type(n) is not int or n % 8 != 0 or not 16 <= n <= 8 * MAX_MESSAGE_BITS:
-        raise ConfigError(f"n must be a multiple of 8 in 16..{8 * MAX_MESSAGE_BITS}, got {n!r}")
+    try:
+        check_n(n)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if not isinstance(attack, str) or attack not in ATTACKS:
         raise ConfigError(f"unknown attack {attack!r}")
     entry = ATTACKS[attack]
@@ -167,32 +169,6 @@ def run_experiment(config: ExperimentConfig) -> DetectionStats:
 
 # -- reporting ---------------------------------------------------------------
 
-CSV_COLUMNS = (
-    "variant",
-    "attack",
-    "attack_params",
-    "n",
-    "trials",
-    "seed",
-    "message",
-    "count_none",
-    "count_hash_mismatch",
-    "count_bell_check_failed",
-    "count_reflect_flag",
-    "bob_accept_rate",
-    "alice_accept_rate",
-    "security_event_rate",
-    "detection_rate",
-    "wilson_99_low",
-    "wilson_99_high",
-    "analytic",
-    "analytic_formula",
-    "hash_algorithm",
-    "hash_truncate_bits",
-    "version",
-)
-
-
 def report_dict(stats: DetectionStats) -> dict:
     cfg = stats.config
     return {
@@ -227,16 +203,20 @@ def emit_report(stats: DetectionStats, output_format: str) -> str:
     if output_format == "json":
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     elif output_format == "csv":
-        results = report["results"]
-        row = {**report["config"], **results, "version": report["artifact"]["version"]}
-        row["attack_params"] = json.dumps(row["attack_params"], sort_keys=True)
-        row.update({f"count_{k}": v for k, v in results["cause_counts"].items()})
-        row["wilson_99_low"], row["wilson_99_high"] = results["wilson_99"]
+        # the row is the report flattened in order; results.trials repeats config.trials
+        config = report["config"]
+        row = dict(config, attack_params=json.dumps(config["attack_params"], sort_keys=True))
+        for key, value in report["results"].items():
+            if key == "cause_counts":
+                row.update({f"count_{k}": v for k, v in value.items()})
+            elif key == "wilson_99":
+                row["wilson_99_low"], row["wilson_99_high"] = value
+            elif key != "trials":
+                row[key] = value
         row.update({f"hash_{k}": v for k, v in report["hash"].items()})
+        row["version"] = report["artifact"]["version"]
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerow({column: row[column] for column in CSV_COLUMNS})
+        csv.writer(buf, lineterminator="\n").writerows([list(row), list(row.values())])
         text = buf.getvalue()
     else:
         raise ConfigError(f"unknown output format {output_format!r}")
@@ -281,10 +261,11 @@ def run_session_from_config(doc: dict) -> dict:
         variant = Variant(doc["variant"])
     except ValueError:
         raise ConfigError(f"unknown variant {doc['variant']!r}") from None
-    n = doc["n"]
-    params = doc.get("attack_params", {})
-    entry = _attack_entry(doc.get("attack", "no_attack"), variant, n, params)
+    n, attack, params = doc["n"], doc.get("attack", "no_attack"), doc.get("attack_params", {})
+    # a document is one session (trials=1) held to the checks and error text of `sqdc run`
+    ExperimentConfig(variant, attack, n, 1, doc["seed"], params, doc["message"]).validate()
     try:
+        # a null message passes validate() as "random per trial"; here it fails
         m = hex_to_bits(doc["message"], n // 8)
         k1 = tuple(hex_to_bits(doc["k1"], n))
         k2 = tuple(hex_to_bits(doc["k2"], n // 2)) if doc.get("k2") else None
@@ -293,11 +274,9 @@ def run_session_from_config(doc: dict) -> dict:
         raise ConfigError(str(exc)) from None
     if k2 is None and variant is Variant.RANDOMIZATION:
         raise ConfigError("the randomization variant needs k2")
-    if type(doc["seed"]) is not int:
-        raise ConfigError(f"seed must be an int, got {doc['seed']!r}")
     rng_seed, register_seed = trial_seeds(doc["seed"], 0)
-    attack = entry.build(params, Random(rng_seed), keys.k1)
-    outcome = run_session(variant, m, keys, attack, register_seed)
+    strategy = ATTACKS[attack].build(params, Random(rng_seed), keys.k1)
+    outcome = run_session(variant, m, keys, strategy, register_seed)
     return {
         "bob_accepts": outcome.bob_accepts,
         "alice_accepts": outcome.alice_accepts,

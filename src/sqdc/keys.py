@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
 
-from .codec import pack_bits
+from .codec import MAX_MESSAGE_BITS, pack_bits
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,17 @@ class KeyMaterial:
                 raise ValueError("k2 must be a string of bits 0 and 1")
 
 
+def check_n(n) -> None:
+    """Raise ValueError unless n is a session size: a multiple of 8 whose n/8
+    checksum bits fit the digest."""
+    if type(n) is not int or n % 8 != 0 or not 16 <= n <= 8 * MAX_MESSAGE_BITS:
+        raise ValueError(f"n must be a multiple of 8 in 16..{8 * MAX_MESSAGE_BITS}, got {n!r}")
+
+
 def gen_keys(n: int, rng: Random, include_k2: bool = True) -> KeyMaterial:
     """Sample fresh key material: k1 uniform over balanced n-bit strings,
     k2 uniform over n/2-bit strings."""
-    if n % 8 != 0 or n < 16:
-        raise ValueError(f"n must be a multiple of 8 and at least 16, got {n}")
+    check_n(n)
     k1 = [0] * (n // 2) + [1] * (n // 2)
     rng.shuffle(k1)
     k2 = tuple(rng.randrange(2) for _ in range(n // 2)) if include_k2 else None

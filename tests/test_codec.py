@@ -68,6 +68,8 @@ def test_pack_bits_length_prefix():
     assert pack_bits([1] * 8) == b"\x00\x08\xff"
     # prefix disambiguates zero padding
     assert pack_bits([1, 0]) != pack_bits([1, 0, 0])
+    with pytest.raises(ValueError):
+        pack_bits([0, 2])
 
 
 # -- block build / verify --------------------------------------------------------
@@ -165,3 +167,5 @@ def test_hex_round_trip():
 def test_hex_to_bits_too_short():
     with pytest.raises(ValueError):
         hex_to_bits("a", 5)
+    with pytest.raises(ValueError):
+        bits_to_hex([0, 2])

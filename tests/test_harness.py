@@ -12,7 +12,6 @@ import pytest
 from sqdc.cli import OUTPUT_DIR_ENV, main
 from sqdc.codec import bits_to_hex, random_bits
 from sqdc.harness import (
-    CSV_COLUMNS,
     ConfigError,
     DetectionStats,
     ExperimentConfig,
@@ -269,7 +268,13 @@ def test_csv_report_round_trip():
     rows = list(csv.DictReader(io.StringIO(text)))
     assert len(rows) == 1
     row = rows[0]
-    assert tuple(row) == CSV_COLUMNS
+    assert tuple(row) == (
+        "variant", "attack", "attack_params", "n", "trials", "seed", "message",
+        "count_none", "count_hash_mismatch", "count_bell_check_failed", "count_reflect_flag",
+        "bob_accept_rate", "alice_accept_rate", "security_event_rate", "detection_rate",
+        "wilson_99_low", "wilson_99_high", "analytic", "analytic_formula",
+        "hash_algorithm", "hash_truncate_bits", "version",
+    )
     assert row["attack"] == "intercept_resend"
     assert int(row["trials"]) == 100
     assert float(row["detection_rate"]) == stats.detection_rate
@@ -346,13 +351,13 @@ def test_emit_report_bad_format():
 # -- single-session configuration documents ---------------------------------------
 
 
-def session_doc(seed=5, size=16, **overrides):
+def session_doc(seed=5, **overrides):
     rng = Random(seed)
-    keys = gen_keys(size, rng)
-    m = random_bits(size // 8, rng)
+    keys = gen_keys(16, rng)
+    m = random_bits(2, rng)
     doc = {
         "variant": "randomization",
-        "n": size,
+        "n": 16,
         "message": bits_to_hex(m),
         "k1": bits_to_hex(list(keys.k1)),
         "k2": bits_to_hex(list(keys.k2)),
@@ -391,7 +396,8 @@ def test_session_config_parsing_errors():
     doc, _ = session_doc(k1="ffff")  # unbalanced
     with pytest.raises(ConfigError):
         run_session_from_config(doc)
-    doc, _ = session_doc(size=2056)  # full size, but n/8 bits outgrow SHA-256
+    # full size (balanced k1, k2 of n/2 bits), but n/8 bits outgrow SHA-256
+    doc, _ = session_doc(n=2056, message="0" * 65, k1="0" * 257 + "f" * 257, k2="0" * 257)
     with pytest.raises(ConfigError, match="2048"):
         run_session_from_config(doc)
     with pytest.raises(ConfigError):
@@ -402,6 +408,7 @@ def test_session_config_parsing_errors():
         {"message": "zz"},
         {"message": "-f"},
         {"message": 3},
+        {"message": None},  # random per trial in a run; a document needs one
         {"k1": "zzzz"},
         {"k2": None},  # randomization needs k2
         {"k2": "f"},  # too short
@@ -420,6 +427,32 @@ def test_session_config_parsing_errors():
         doc, _ = session_doc(**overrides)
         with pytest.raises(ConfigError):
             run_session_from_config(doc)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n", 12),
+        ("n", 2056),
+        ("n", "16"),
+        ("seed", "5"),
+        ("seed", 1.5),
+        ("attack", "time_travel"),
+        ("attack", "reflect_all"),  # randomization variant
+        ("attack_params", {"bogus": 1}),
+        ("attack_params", ["mode"]),
+        ("message", "zz"),
+        ("message", "-f"),
+        ("message", 3),
+    ],
+)
+def test_session_document_shares_run_validator(field, value):
+    with pytest.raises(ConfigError) as from_run:
+        make_config(**{field: value}).validate()
+    doc, _ = session_doc(**{field: value})
+    with pytest.raises(ConfigError) as from_doc:
+        run_session_from_config(doc)
+    assert str(from_doc.value) == str(from_run.value)
 
 
 def test_max_n_runs_one_trial():

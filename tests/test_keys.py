@@ -39,7 +39,7 @@ def test_gen_keys_distinct_seeds_distinct_keys():
 
 
 def test_gen_keys_invalid_n():
-    for n in (0, 8, 12, 17):
+    for n in (0, 8, 12, 17, 2056):
         with pytest.raises(ValueError):
             gen_keys(n, Random(0))
 
