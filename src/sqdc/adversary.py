@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from random import Random
 
+from .codec import ALPHABET
 from .keys import gen_keys, interleave
 from .protocol import Variant
-from .qsim import BellState, Pauli, QuantumRegister
+from .qsim import Pauli, QuantumRegister
 
 
 class AttackStrategy:
@@ -49,14 +50,10 @@ class ImpersonateAlice(AttackStrategy):
         n = len(qubits)
         fake_s = []
         for _ in range(n // 4):
-            state = BellState.PHI_PLUS if self.rng.random() < 0.5 else BellState.PSI_MINUS
-            q1, q2 = register.prepare_bell(state)
-            fake_s.extend((q1, q2))
-        fake_cb = []
-        for _ in range(n // 2):
-            state = BellState.PHI_PLUS if self.rng.random() < 0.5 else BellState.PSI_MINUS
-            q1, _ = register.prepare_bell(state)  # Eve keeps the partner
-            fake_cb.append(q1)
+            fake_s.extend(register.prepare_bell(ALPHABET[self.rng.random() >= 0.5]))
+        fake_cb = [  # Eve keeps each checking pair's partner
+            register.prepare_bell(ALPHABET[self.rng.random() >= 0.5])[0] for _ in range(n // 2)
+        ]
         return interleave(fake_s, fake_cb, gen_keys(n, self.rng, include_k2=False))
 
 

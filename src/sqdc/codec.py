@@ -20,6 +20,10 @@ MAX_MESSAGE_BITS = 256
 
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
+# The two Bell states that carry a bit, indexed by the bit. Alice's checking
+# pairs and an impersonator's forgeries are drawn uniformly from it too.
+ALPHABET = (BellState.PHI_PLUS, BellState.PSI_MINUS)
+
 
 def _bits_to_int(bits) -> int:
     """The bits read MSB-first as one integer."""
@@ -69,11 +73,9 @@ def verify_block(block):
 
 def encode_bit(b: int) -> BellState:
     """Block bit to Bell state: 0 -> Phi+, 1 -> Psi-."""
-    if b == 0:
-        return BellState.PHI_PLUS
-    if b == 1:
-        return BellState.PSI_MINUS
-    raise ValueError(f"bit must be 0 or 1, got {b!r}")
+    if b not in (0, 1):
+        raise ValueError(f"bit must be 0 or 1, got {b!r}")
+    return ALPHABET[b]
 
 
 def decode_pair(b1: int, b2: int) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
 
-from .codec import MAX_MESSAGE_BITS, pack_bits
+from .codec import MAX_MESSAGE_BITS, pack_bits, random_bits
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ def gen_keys(n: int, rng: Random, include_k2: bool = True) -> KeyMaterial:
     check_n(n)
     k1 = [0] * (n // 2) + [1] * (n // 2)
     rng.shuffle(k1)
-    k2 = tuple(rng.randrange(2) for _ in range(n // 2)) if include_k2 else None
+    k2 = tuple(random_bits(n // 2, rng)) if include_k2 else None
     return KeyMaterial(k1=tuple(k1), k2=k2)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .codec import build_block, decode_pair, encode_bit, verify_block
+from .codec import ALPHABET, build_block, decode_pair, encode_bit, verify_block
 from .keys import (
     KeyMaterial,
     apply_perm,
@@ -25,7 +25,7 @@ from .keys import (
     invert_perm,
     permutation_from_key,
 )
-from .qsim import BellState, QuantumRegister
+from .qsim import BELL_ORDER, BellState, QuantumRegister
 
 
 class Variant(Enum):
@@ -44,8 +44,7 @@ class DetectionCause(Enum):
 class AliceSession:
     keys: KeyMaterial
     block: list[int]
-    # (retained-or-first qubit, transmitted-or-second qubit, initial Bell state)
-    s_pairs: list[tuple[int, int, BellState]]
+    # (retained qubit, transmitted qubit, initial Bell state) per checking pair
     c_pairs: list[tuple[int, int, BellState]]
 
 
@@ -76,24 +75,19 @@ def alice_prepare(m, keys: KeyMaterial, register: QuantumRegister, variant: Vari
         raise ValueError("randomization variant requires k2")
 
     block = build_block(m)  # n/4 bits
-    s_pairs = []
     s_seq = []
     for bit in block:
-        state = encode_bit(bit)
-        q1, q2 = register.prepare_bell(state)
-        s_pairs.append((q1, q2, state))
-        s_seq.extend((q1, q2))
+        s_seq.extend(register.prepare_bell(encode_bit(bit)))
 
     c_pairs = []
     cb_seq = []
     for _ in range(n // 2):
-        state = BellState.PHI_PLUS if register.rng.random() < 0.5 else BellState.PSI_MINUS
+        state = ALPHABET[register.rng.random() >= 0.5]
         qc1, qc2 = register.prepare_bell(state)
         c_pairs.append((qc1, qc2, state))
         cb_seq.append(qc2)
 
-    session = AliceSession(keys, block, s_pairs, c_pairs)
-    return session, interleave(s_seq, cb_seq, keys)
+    return AliceSession(keys, block, c_pairs), interleave(s_seq, cb_seq, keys)
 
 
 # -- randomization-based variant --------------------------------------------
@@ -117,11 +111,12 @@ def bob_randomization_step3(cb_qubits, keys: KeyMaterial):
 def alice_randomization_step4(returned, session: AliceSession, register: QuantumRegister):
     """Step 4: undo the k2 permutation and Bell-verify every checking pair.
 
-    Returns (verdict, per-pair match flags).
+    Returns (detection cause, per-pair match flags).
     """
     perm = permutation_from_key(session.keys.k2)
     matches = _check_pairs(session, invert_perm(perm, returned), register)
-    return all(matches), matches
+    cause = DetectionCause.NONE if all(matches) else DetectionCause.BELL_CHECK_FAILED
+    return cause, matches
 
 
 # -- measure-resend variant --------------------------------------------------
@@ -150,33 +145,23 @@ def bob_measure_resend_step23(q_seq, keys: KeyMaterial, register: QuantumRegiste
 
 def alice_measure_resend_step4(returned, session: AliceSession, register: QuantumRegister):
     """Step 4*: Bell-verify the checking pairs; if they pass, Bell-measure the
-    returned message pairs. Outcomes outside the parity-allowed set reject;
-    all outcomes equal to their initial states flags a reflecting attack.
+    returned message pairs. An outcome whose X parity differs from its block
+    bit rejects; every outcome equal to its bit's state flags a reflector.
 
-    Returns (verdict, cause, checking-pair match flags).
+    Returns (detection cause, checking-pair match flags).
     """
     s_returned, cb_returned = deinterleave(returned, session.keys)
     matches = _check_pairs(session, cb_returned, register)
     if not all(matches):
-        return False, DetectionCause.BELL_CHECK_FAILED, matches
+        return DetectionCause.BELL_CHECK_FAILED, matches
 
-    in_allowed = True
-    all_initial = True
-    for i, (_, _, initial) in enumerate(session.s_pairs):
-        outcome = register.bell_measure(s_returned[2 * i], s_returned[2 * i + 1])
-        if session.block[i] == 0:
-            allowed = (BellState.PHI_PLUS, BellState.PHI_MINUS)
-        else:
-            allowed = (BellState.PSI_PLUS, BellState.PSI_MINUS)
-        if outcome not in allowed:
-            in_allowed = False
-        if outcome != initial:
-            all_initial = False
-    if not in_allowed:
-        return False, DetectionCause.BELL_CHECK_FAILED, matches
-    if all_initial:
-        return False, DetectionCause.REFLECT_FLAG, matches
-    return True, DetectionCause.NONE, matches
+    outcomes = [register.bell_measure(qa, qb) for qa, qb in zip(s_returned[::2], s_returned[1::2])]
+    pairs = list(zip(session.block, outcomes))
+    if any(BELL_ORDER.index(o) >> 1 != bit for bit, o in pairs):
+        return DetectionCause.BELL_CHECK_FAILED, matches
+    if all(o == ALPHABET[bit] for bit, o in pairs):
+        return DetectionCause.REFLECT_FLAG, matches
+    return DetectionCause.NONE, matches
 
 
 def _check_pairs(session: AliceSession, returned, register: QuantumRegister):
@@ -206,7 +191,7 @@ def run_session(variant: Variant, m, keys: KeyMaterial, attack, seed) -> RunOutc
     """
     register = QuantumRegister(seed)
     session, q_seq = alice_prepare(m, keys, register, variant)
-    q_obs = attack.tamper_forward(register, list(q_seq))
+    q_obs = attack.tamper_forward(register, q_seq)
 
     if attack.bypasses_bob:
         bob_ok = None
@@ -218,20 +203,14 @@ def run_session(variant: Variant, m, keys: KeyMaterial, attack, seed) -> RunOutc
     else:
         bob_ok, m_decoded, backward = bob_measure_resend_step23(q_obs, keys, register)
 
-    returned = attack.tamper_backward(register, list(backward))
+    returned = attack.tamper_backward(register, backward)
 
     if variant is Variant.RANDOMIZATION:
-        alice_ok, matches = alice_randomization_step4(returned, session, register)
-        alice_cause = DetectionCause.NONE if alice_ok else DetectionCause.BELL_CHECK_FAILED
+        alice_cause, matches = alice_randomization_step4(returned, session, register)
     else:
-        alice_ok, alice_cause, matches = alice_measure_resend_step4(returned, session, register)
-
-    if not alice_ok:
-        cause = alice_cause
-    elif bob_ok is False:
-        cause = DetectionCause.HASH_MISMATCH
-    else:
-        cause = DetectionCause.NONE
+        alice_cause, matches = alice_measure_resend_step4(returned, session, register)
+    alice_ok = alice_cause is DetectionCause.NONE
+    cause = DetectionCause.HASH_MISMATCH if alice_ok and bob_ok is False else alice_cause
 
     security_event = bool(bob_ok) and m_decoded != list(m)
     return RunOutcome(

@@ -5,8 +5,8 @@ from random import Random
 import pytest
 
 from sqdc.adversary import AttackStrategy, InterceptResend, ModifySingleQubit
-from sqdc.codec import decode_pair, random_bits, verify_block
-from sqdc.keys import deinterleave, gen_keys
+from sqdc.codec import ALPHABET, decode_pair, random_bits, verify_block
+from sqdc.keys import deinterleave, gen_keys, interleave
 from sqdc.protocol import (
     DetectionCause,
     Variant,
@@ -37,7 +37,7 @@ def make_session(n, seed, variant=Variant.RANDOMIZATION):
 
 def test_prepare_structure_n16():
     m, keys, register, session, q_seq = make_session(16, 0)
-    assert len(session.s_pairs) == 4
+    assert len(session.block) == 4
     assert len(session.c_pairs) == 8
     assert len(q_seq) == 16
     assert all(state in (BellState.PHI_PLUS, BellState.PSI_MINUS)
@@ -48,10 +48,13 @@ def test_prepare_zero_message_pairs():
     rng = Random(1)
     keys = gen_keys(32, rng)
     register = QuantumRegister(2)
-    session, _ = alice_prepare([0, 0, 0, 0], keys, register, Variant.RANDOMIZATION)
+    session, q_seq = alice_prepare([0, 0, 0, 0], keys, register, Variant.RANDOMIZATION)
     # message-half pairs all encode zero; the checksum half still varies
-    assert all(state == BellState.PHI_PLUS for _, _, state in session.s_pairs[:4])
     assert session.block[:4] == [0, 0, 0, 0]
+    s_seq, _ = deinterleave(q_seq, keys)
+    for i, bit in enumerate(session.block):
+        probs = register.bell_probabilities(s_seq[2 * i], s_seq[2 * i + 1])
+        assert probs[BellState.PSI_MINUS if bit else BellState.PHI_PLUS] == 1.0
 
 
 def test_prepare_checking_states_uniform():
@@ -91,8 +94,8 @@ def test_honest_randomization_steps():
         assert ok and decoded == m
         reflected = bob_randomization_step3(cb, keys)
         assert len(reflected) == 8
-        accepted, matches = alice_randomization_step4(reflected, session, register)
-        assert accepted and all(matches)
+        cause, matches = alice_randomization_step4(reflected, session, register)
+        assert cause is DetectionCause.NONE and all(matches)
 
 
 def test_modify_one_s_qubit_flips_exactly_one_block_bit():
@@ -167,7 +170,7 @@ def test_honest_measure_resend_alice_verdicts():
     for seed in range(trials):
         m, keys, register, session, q_seq = make_session(16, seed, Variant.MEASURE_RESEND)
         _, _, returned = bob_measure_resend_step23(q_seq, keys, register)
-        ok, cause, matches = alice_measure_resend_step4(returned, session, register)
+        cause, matches = alice_measure_resend_step4(returned, session, register)
         assert all(matches)  # reflected checking qubits are undisturbed
         assert cause in (DetectionCause.NONE, DetectionCause.REFLECT_FLAG)
         if cause is DetectionCause.REFLECT_FLAG:
@@ -187,9 +190,8 @@ def test_measure_resend_returned_bell_outcomes_uniform_on_allowed_set():
         m, keys, register, session, q_seq = make_session(64, seed, Variant.MEASURE_RESEND)
         _, _, returned = bob_measure_resend_step23(q_seq, keys, register)
         s_returned, _ = deinterleave(returned, keys)
-        for i, (_, _, initial) in enumerate(session.s_pairs):
+        for i, bit in enumerate(session.block):
             outcome = register.bell_measure(s_returned[2 * i], s_returned[2 * i + 1])
-            bit = session.block[i]
             if bit == 0:
                 assert outcome in (BellState.PHI_PLUS, BellState.PHI_MINUS)
                 counts[0][outcome == BellState.PHI_MINUS] += 1
@@ -211,8 +213,33 @@ def test_measure_resend_modified_s_qubit_rejected():
         register.apply_pauli(q_seq[s_positions[2]], Pauli.IY)
         ok, _, returned = bob_measure_resend_step23(q_seq, keys, register)
         # parity flip also lands the returned pair outside its allowed class
-        alice_ok, cause, _ = alice_measure_resend_step4(returned, session, register)
-        assert not alice_ok and cause is DetectionCause.BELL_CHECK_FAILED
+        cause, _ = alice_measure_resend_step4(returned, session, register)
+        assert cause is DetectionCause.BELL_CHECK_FAILED
+
+
+@pytest.mark.parametrize(
+    "s_pauli, c_pauli, expected",
+    [
+        (None, None, DetectionCause.REFLECT_FLAG),
+        (Pauli.Z, None, DetectionCause.NONE),  # Phi+ <-> Phi-, Psi- <-> Psi+
+        (Pauli.X, None, DetectionCause.BELL_CHECK_FAILED),  # leaves the parity class
+        (None, Pauli.X, DetectionCause.BELL_CHECK_FAILED),  # breaks a checking pair
+    ],
+)
+def test_measure_resend_step4_causes_exact(s_pauli, c_pauli, expected):
+    # Checking halves come back reflected and every message pair is a fresh Bell
+    # pair, so every Bell outcome Alice draws is certain.
+    for seed in range(20):
+        m, keys, register, session, q_seq = make_session(32, seed, Variant.MEASURE_RESEND)
+        _, cb = deinterleave(q_seq, keys)
+        s = [q for bit in session.block for q in register.prepare_bell(ALPHABET[bit])]
+        if s_pauli is not None:
+            register.apply_pauli(s[2 * (seed % len(session.block))], s_pauli)
+        if c_pauli is not None:
+            register.apply_pauli(cb[seed % len(cb)], c_pauli)
+        cause, matches = alice_measure_resend_step4(interleave(s, cb, keys), session, register)
+        assert cause is expected
+        assert all(matches) == (c_pauli is None)
 
 
 # -- orchestration ---------------------------------------------------------------
