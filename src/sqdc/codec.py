@@ -87,7 +87,15 @@ def decode_pair(b1: int, b2: int) -> int:
 
 
 def random_bits(k: int, rng: Random):
-    return [rng.randrange(2) for _ in range(k)]
+    """k draws of `rng.randrange(2)`, inlined: the same getrandbits stream."""
+    getrandbits = rng.getrandbits
+    bits = []
+    for _ in range(k):
+        r = getrandbits(2)
+        while r > 1:
+            r = getrandbits(2)
+        bits.append(r)
+    return bits
 
 
 def bits_to_hex(bits) -> str:

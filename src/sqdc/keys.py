@@ -4,6 +4,8 @@ k1 (n bits, balanced) decides per transmitted position whether it carries a
 message qubit (bit 0) or a checking qubit (bit 1); in the measure-resend
 variant the same bit selects Bob's SHARE (0) or CHECK (1) mode. k2 (n/2 bits)
 seeds a Fisher-Yates shuffle that reorders the reflected checking qubits.
+Both k1 and the k2 permutation are drawn by `_shuffle`, which consumes the
+generator exactly as `Random.shuffle` does.
 
 `KeyMaterial` alone checks these invariants; `interleave` and `deinterleave`
 take it and trust its k1. A permutation is a tuple p sending input position i
@@ -49,7 +51,7 @@ def gen_keys(n: int, rng: Random, include_k2: bool = True) -> KeyMaterial:
     k2 uniform over n/2-bit strings."""
     check_n(n)
     k1 = [0] * (n // 2) + [1] * (n // 2)
-    rng.shuffle(k1)
+    _shuffle(k1, rng)
     k2 = tuple(random_bits(n // 2, rng)) if include_k2 else None
     return KeyMaterial(k1=tuple(k1), k2=k2)
 
@@ -89,8 +91,21 @@ def _permutation(k: tuple) -> tuple[int, ...]:
     last one is kept."""
     seed = int.from_bytes(hashlib.sha256(pack_bits(k)).digest()[:8], "big")
     mapping = list(range(len(k)))
-    Random(seed).shuffle(mapping)  # draws randbelow(i + 1) for i = len-1 .. 1
+    _shuffle(mapping, Random(seed))
     return tuple(mapping)
+
+
+def _shuffle(x: list, rng: Random) -> None:
+    """`rng.shuffle(x)` with CPython's `_randbelow(i + 1)` inlined: the same
+    getrandbits words in the same order, so the same permutation (pinned
+    against the running interpreter in tests/test_keys.py)."""
+    getrandbits = rng.getrandbits
+    for i in range(len(x) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
 
 
 def apply_perm(p: tuple[int, ...], seq):

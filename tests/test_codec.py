@@ -154,6 +154,19 @@ def test_encode_measure_decode_round_trip():
             reg = QuantumRegister(reg.rng.getrandbits(32))
 
 
+# -- bit draws -----------------------------------------------------------------------
+
+
+def test_random_bits_matches_stdlib_randrange():
+    drift = "CPython's _randbelow changed: random_bits no longer matches randrange(2)"
+    for seed in range(64):
+        ours, stdlib = Random(seed), Random(seed)
+        for k in (*range(131), 255, 256, 257, 1024, 2048):
+            where = f"{drift}, so reports would drift (seed {seed}, k {k})"
+            assert random_bits(k, ours) == [stdlib.randrange(2) for _ in range(k)], where
+            assert ours.getrandbits(32) == stdlib.getrandbits(32), where
+
+
 # -- hex plumbing -----------------------------------------------------------------
 
 

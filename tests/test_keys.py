@@ -7,9 +7,10 @@ from random import Random
 
 import pytest
 
-from sqdc.codec import pack_bits
+from sqdc.codec import pack_bits, random_bits
 from sqdc.keys import (
     KeyMaterial,
+    _shuffle,
     apply_perm,
     deinterleave,
     gen_keys,
@@ -57,6 +58,42 @@ def test_key_material_validation():
         KeyMaterial(k1=(2, 0, 0, 0))  # passes the balance sum, but 2 is not a bit
     with pytest.raises(ValueError, match="bits"):
         KeyMaterial(k1=(0, 1, 1, 0), k2=(7, 0))
+
+
+# -- the draws pinned to the stdlib ------------------------------------------------
+
+STREAM_DRIFT = (
+    "CPython's _randbelow changed: the key and message draws no longer match it,"
+    " so reports would drift"
+)
+PIN_LENGTHS = (*range(131), 255, 256, 257, 1024, 2048)
+
+
+def test_shuffle_matches_stdlib_shuffle():
+    for seed in range(64):
+        ours, stdlib = Random(seed), Random(seed)
+        for length in PIN_LENGTHS:
+            x, y = list(range(length)), list(range(length))
+            _shuffle(x, ours)
+            stdlib.shuffle(y)
+            where = f"{STREAM_DRIFT} (seed {seed}, length {length})"
+            assert x == y, where
+            assert ours.getrandbits(32) == stdlib.getrandbits(32), where
+
+
+def test_trial_setup_matches_stdlib_draws():
+    # a trial draws k1, then k2 (randomization only), then the message
+    for n in range(16, 2049, 8):
+        for include_k2 in (False, True):
+            ours, stdlib = Random(n), Random(n)
+            keys = gen_keys(n, ours, include_k2)
+            m = random_bits(n // 8, ours)
+            k1 = [0] * (n // 2) + [1] * (n // 2)
+            stdlib.shuffle(k1)
+            k2 = tuple(stdlib.randrange(2) for _ in range(n // 2)) if include_k2 else None
+            assert keys == KeyMaterial(k1=tuple(k1), k2=k2), f"{STREAM_DRIFT} (n {n})"
+            assert m == [stdlib.randrange(2) for _ in range(n // 8)], f"{STREAM_DRIFT} (n {n})"
+            assert ours.getrandbits(32) == stdlib.getrandbits(32), f"{STREAM_DRIFT} (n {n})"
 
 
 # -- interleaving -----------------------------------------------------------------
