@@ -326,6 +326,21 @@ GOLDEN_REPORTS = [
         "404eaa0b77201cfa6cd1f939ab85d0c039fce491833bfa34cbee9a39bb96f148",
         "1137a367412453caba7fb439639086effed84a8c01c0bfc5c64c1629e733fcac",
     ),
+    (
+        dict(attack="intercept_resend", n=64, trials=40, seed=13),
+        "d18cb99dbc574328596800ba7b9708d21d766660f4c0c922bdd96876a1d68681",
+        "ee496dfe43d20ed82a34954b64c7253ea00a8606211fa029013b6a1fb802bbec",
+    ),
+    (
+        dict(attack="impersonate_bob", attack_params={"mode": "idealized"}, n=64, trials=40, seed=17),
+        "7bf85baf7ab6f9601f752afc10e8dcca7d2e09a643a0d17ef03eec13a4cf0ad2",
+        "0efed67692ae32149cc61cdb1133f8e07d7b93e0d59dfde0a3d5ddc6f6fa7414",
+    ),
+    (
+        dict(variant=Variant.MEASURE_RESEND, n=256, trials=20, seed=19),
+        "de2ed0e7e4dbe68b3b22037cc930702213d574a21ade8a4d9b6ef9717eca3cbf",
+        "83da2238474e56bda79e088f0144249fe4927e268ef6c67996352920106d10d5",
+    ),
 ]
 
 
@@ -334,6 +349,7 @@ GOLDEN_REPORTS = [
     GOLDEN_REPORTS,
     ids=[
         "fixed-message", "no-closed-form", "s_msg", "concrete", "position-target", "reflect-all",
+        "intercept-n64", "idealized-bob-n64", "measure-resend-n256",
     ],
 )
 def test_report_bytes_pinned(overrides, json_sha, csv_sha):
