@@ -91,7 +91,20 @@ class ImpersonateBobConcrete(AttackStrategy):
         self.rng = rng
 
     def tamper_backward(self, register, qubits):
-        return self.rng.sample(qubits, len(qubits) // 2)
+        # The pool branch of `rng.sample(qubits, len(qubits) // 2)`, which half a
+        # population always takes, with `_randbelow` inlined as in `keys._shuffle`.
+        getrandbits = self.rng.getrandbits
+        pool = list(qubits)
+        n = len(pool)
+        out = []
+        for m in range(n, n - n // 2, -1):  # _randbelow(n - i) for draw i
+            k = m.bit_length()
+            j = getrandbits(k)
+            while j >= m:
+                j = getrandbits(k)
+            out.append(pool[j])
+            pool[j] = pool[m - 1]
+        return out
 
 
 class InterceptResend(AttackStrategy):

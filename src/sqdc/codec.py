@@ -71,18 +71,6 @@ def verify_block(block):
     return hash_checksum(m) == list(block[half:]), m
 
 
-def encode_bit(b: int) -> BellState:
-    """Block bit to Bell state: 0 -> Phi+, 1 -> Psi-."""
-    if b not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {b!r}")
-    return ALPHABET[b]
-
-
-def decode_pair(b1: int, b2: int) -> int:
-    """Block bit from the two Z outcomes of its Bell pair (XOR)."""
-    return b1 ^ b2
-
-
 # -- bit-string plumbing ---------------------------------------------------
 
 

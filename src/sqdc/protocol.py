@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .codec import ALPHABET, build_block, decode_pair, encode_bit, verify_block
+from .codec import ALPHABET, build_block, verify_block
 from .keys import (
     KeyMaterial,
     apply_perm,
@@ -74,16 +74,18 @@ def alice_prepare(m, keys: KeyMaterial, register: QuantumRegister, variant: Vari
     if variant is Variant.RANDOMIZATION and keys.k2 is None:
         raise ValueError("randomization variant requires k2")
 
+    prepare_bell = register.prepare_bell
+    random = register.rng.random
     block = build_block(m)  # n/4 bits
     s_seq = []
     for bit in block:
-        s_seq.extend(register.prepare_bell(encode_bit(bit)))
+        s_seq.extend(prepare_bell(ALPHABET[bit]))
 
     c_pairs = []
     cb_seq = []
     for _ in range(n // 2):
-        state = ALPHABET[register.rng.random() >= 0.5]
-        qc1, qc2 = register.prepare_bell(state)
+        state = ALPHABET[random() >= 0.5]
+        qc1, qc2 = prepare_bell(state)
         c_pairs.append((qc1, qc2, state))
         cb_seq.append(qc2)
 
@@ -99,7 +101,8 @@ def bob_randomization_step2(q_seq, keys: KeyMaterial, register: QuantumRegister)
     Returns (verdict, decoded message, checking qubits in k1 order).
     """
     s_qubits, cb_qubits = deinterleave(q_seq, keys)
-    ok, m_decoded = _decode_block([register.measure_z(q) for q in s_qubits])
+    measure_z = register.measure_z
+    ok, m_decoded = _decode_block([measure_z(q) for q in s_qubits])
     return ok, m_decoded, cb_qubits
 
 
@@ -167,17 +170,18 @@ def alice_measure_resend_step4(returned, session: AliceSession, register: Quantu
 def _check_pairs(session: AliceSession, returned, register: QuantumRegister):
     """Bell-measure each retained checking qubit with its returned partner;
     one flag per pair, True where the outcome is the pair's initial state."""
+    bell_measure = register.bell_measure
     return [
-        register.bell_measure(qc1, back) == initial
+        bell_measure(qc1, back) == initial
         for (qc1, _, initial), back in zip(session.c_pairs, returned)
     ]
 
 
 def _decode_block(results):
-    """Decode Bob's Z outcomes pairwise into block bits and verify the
-    checksum. Returns (verdict, decoded message)."""
-    block = [decode_pair(results[2 * i], results[2 * i + 1]) for i in range(len(results) // 2)]
-    return verify_block(block)
+    """Decode Bob's Z outcomes pairwise into block bits (each the XOR of its
+    pair's outcomes) and verify the checksum. Returns (verdict, decoded
+    message)."""
+    return verify_block([a ^ b for a, b in zip(results[::2], results[1::2])])
 
 
 # -- orchestration -------------------------------------------------------------

@@ -48,9 +48,10 @@ BELL_AMPLITUDES = {
     BellState.PSI_MINUS: (0.0, _INV_SQRT2, -_INV_SQRT2, 0.0),
 }
 
-# Fixed sampling order for inverse-CDF draws; shared with any external oracle
-# so that identical random streams produce identical outcomes. Index 2x + z
-# is the state (I ⊗ X^x Z^z)|Φ+>.
+# Fixed outcome order; index 2x + z is the state (I ⊗ X^x Z^z)|Φ+>. A Bell
+# outcome is read off one uniform in closed form, which equals the inverse CDF
+# over this order because every weight is 0, 1/4, 1/2 or 1, so an external
+# oracle sampling that inverse CDF replays the same outcomes from one stream.
 BELL_ORDER = (
     BellState.PHI_PLUS,
     BellState.PHI_MINUS,
@@ -108,7 +109,10 @@ class QuantumRegister:
         The measured qubit becomes a basis qubit. A Bell partner is left in
         the basis state its Z parity x fixes: outcome ^ x.
         """
-        comp = self._component(q)
+        try:
+            comp = self._comp_of[q]
+        except KeyError:
+            raise ValueError(f"unknown qubit id {q!r}") from None
         u = self.rng.random()
         qubits, label, _ = comp
         if len(qubits) == 1:  # |label> is certain
@@ -121,8 +125,23 @@ class QuantumRegister:
         return outcome
 
     def bell_probabilities(self, qa: int, qb: int) -> dict[BellState, float]:
-        """Outcome probabilities of a joint Bell measurement, without measuring."""
-        return dict(zip(BELL_ORDER, self._bell_case(qa, qb)[2]))
+        """Outcome probabilities of a joint Bell measurement, without measuring.
+
+        One pair is its own eigenstate. Two basis qubits |ab> have X parity
+        a ^ b and an even split over the Z phase. Otherwise a measured qubit
+        has its partner outside the measurement, so every outcome has 1/4.
+        """
+        if qa == qb:
+            raise ValueError("bell measurement needs two distinct qubits")
+        ca = self._component(qa)
+        cb = self._component(qb)
+        if ca is cb:
+            weights = _CERTAIN[ca[1]]
+        elif len(ca[0]) == len(cb[0]) == 1:
+            weights = _BASIS_PAIR[ca[1] ^ cb[1]]
+        else:
+            weights = _UNIFORM
+        return dict(zip(BELL_ORDER, weights))
 
     def bell_measure(self, qa: int, qb: int) -> BellState:
         """Jointly measure two qubits in the Bell basis with collapse.
@@ -131,29 +150,39 @@ class QuantumRegister:
         behind gets the state that teleportation or entanglement swapping
         fixes; two partners form one pair, in qubit-id order.
         """
-        ca, cb, weights = self._bell_case(qa, qb)
+        if qa == qb:
+            raise ValueError("bell measurement needs two distinct qubits")
+        comp_of = self._comp_of
+        try:
+            ca = comp_of[qa]
+            cb = comp_of[qb]
+        except KeyError as exc:
+            raise ValueError(f"unknown qubit id {exc.args[0]!r}") from None
         u = self.rng.random()
-        if ca is cb and ca[0][0] == qa:  # certain; u was drawn to keep streams aligned
+        if ca is cb:  # certain; u was drawn to keep streams aligned
+            if ca[0][0] != qa:  # every Bell label is symmetric up to sign
+                ca[0] = (qa, qb)
             ca[2] = 0
             return BELL_ORDER[ca[1]]
-        acc = 0.0
-        for label, w in enumerate(weights):
-            acc += w
-            if u < acc:
-                break
-        comp_of = self._comp_of
-        comp_of[qa] = comp_of[qb] = [(qa, qb), label, 0]
-        rest = [] if ca is cb else [q for q in ca[0] + cb[0] if q != qa and q != qb]
-        if len(rest) == 1:
-            # Teleportation: Z parities chain through the pair (x), the basis
-            # qubit's bit and the outcome's X parity.
-            pair, basis = (ca, cb) if len(ca[0]) == 2 else (cb, ca)
-            comp_of[rest[0]] = [(rest[0],), (pair[1] >> 1) ^ basis[1] ^ (label >> 1), 0]
-        elif len(rest) == 2:
+        qs_a, qs_b = ca[0], cb[0]
+        if len(qs_a) == len(qs_b) == 1:  # X parity a ^ b, the Z phase even
+            label = 2 * (ca[1] ^ cb[1]) + (u >= 0.5)
+        elif len(qs_a) == len(qs_b):
             # Entanglement swapping: the partners carry the product of the
             # three Paulis, which is the XOR of their labels up to sign.
-            rest.sort()
-            comp_of[rest[0]] = comp_of[rest[1]] = [tuple(rest), ca[1] ^ cb[1] ^ label, 0]
+            label = int(4 * u)
+            pa = qs_a[1] if qs_a[0] == qa else qs_a[0]
+            pb = qs_b[1] if qs_b[0] == qb else qs_b[0]
+            partners = (pa, pb) if pa < pb else (pb, pa)
+            comp_of[pa] = comp_of[pb] = [partners, ca[1] ^ cb[1] ^ label, 0]
+        else:
+            # Teleportation: Z parities chain through the pair (x), the basis
+            # qubit's bit and the outcome's X parity.
+            label = int(4 * u)
+            pair, basis, q = (ca, cb, qa) if len(qs_a) == 2 else (cb, ca, qb)
+            p = pair[0][1] if pair[0][0] == q else pair[0][0]
+            comp_of[p] = [(p,), (pair[1] >> 1) ^ basis[1] ^ (label >> 1), 0]
+        comp_of[qa] = comp_of[qb] = [(qa, qb), label, 0]
         return BELL_ORDER[label]
 
     # -- unitaries -------------------------------------------------------
@@ -199,21 +228,3 @@ class QuantumRegister:
             return self._comp_of[q]
         except KeyError:
             raise ValueError(f"unknown qubit id {q!r}") from None
-
-    def _bell_case(self, qa: int, qb: int):
-        """The components of qa and qb and the outcome weights over BELL_ORDER.
-
-        One pair is its own eigenstate. Two basis qubits |ab> have X parity
-        a ^ b and an even split over the Z phase. Otherwise a measured qubit
-        has its partner outside the measurement, so every outcome has 1/4.
-        """
-        if qa == qb:
-            raise ValueError("bell measurement needs two distinct qubits")
-        ca = self._component(qa)
-        cb = self._component(qb)
-        if ca is cb:
-            return ca, cb, _CERTAIN[ca[1]]
-        if len(ca[0]) == len(cb[0]) == 1:
-            return ca, cb, _BASIS_PAIR[ca[1] ^ cb[1]]
-        return ca, cb, _UNIFORM
-

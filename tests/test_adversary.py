@@ -121,6 +121,17 @@ def test_impersonate_bob_concrete_bypasses_bob():
     assert sum(o.detected for o in outcomes) / len(outcomes) >= 0.99
 
 
+def test_concrete_guess_matches_stdlib_sample():
+    # the inlined draw must take the words `Random.sample` takes, or reports drift
+    for n in range(16, 2049, 8):
+        qubits = list(range(1000, 1000 + n))
+        ours, stdlib = Random(n), Random(n)
+        guess = ImpersonateBobConcrete(ours).tamper_backward(None, qubits)
+        assert guess == stdlib.sample(qubits, n // 2), f"n={n}"
+        assert ours.getstate() == stdlib.getstate(), f"n={n}"
+    assert qubits == list(range(1000, 1000 + n))  # the forward sequence is not mutated
+
+
 def test_impersonate_bob_unknown_mode():
     with pytest.raises(ValueError):
         ATTACKS["impersonate_bob"].check(Variant.RANDOMIZATION, 16, {"mode": "quantum_memory"})

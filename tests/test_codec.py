@@ -6,11 +6,10 @@ from random import Random
 import pytest
 
 from sqdc.codec import (
+    ALPHABET,
     MAX_MESSAGE_BITS,
     bits_to_hex,
     build_block,
-    decode_pair,
-    encode_bit,
     hash_checksum,
     hex_to_bits,
     pack_bits,
@@ -130,17 +129,7 @@ def test_forgery_bound_random_blocks():
 
 
 def test_encode_bit_mapping():
-    assert encode_bit(0) == BellState.PHI_PLUS
-    assert encode_bit(1) == BellState.PSI_MINUS
-    with pytest.raises(ValueError):
-        encode_bit(2)
-
-
-def test_decode_pair_xor():
-    assert decode_pair(0, 0) == 0
-    assert decode_pair(1, 1) == 0
-    assert decode_pair(0, 1) == 1
-    assert decode_pair(1, 0) == 1
+    assert ALPHABET == (BellState.PHI_PLUS, BellState.PSI_MINUS)
 
 
 def test_encode_measure_decode_round_trip():
@@ -148,8 +137,8 @@ def test_encode_measure_decode_round_trip():
     reg = QuantumRegister(3)
     for _ in range(1000):
         for bit in (0, 1):
-            qa, qb = reg.prepare_bell(encode_bit(bit))
-            assert decode_pair(reg.measure_z(qa), reg.measure_z(qb)) == bit
+            qa, qb = reg.prepare_bell(ALPHABET[bit])
+            assert reg.measure_z(qa) ^ reg.measure_z(qb) == bit
         if len(reg.live_qubits()) > 4000:
             reg = QuantumRegister(reg.rng.getrandbits(32))
 

@@ -9,6 +9,7 @@ from random import Random
 
 import pytest
 
+import sqdc.harness
 from sqdc.cli import OUTPUT_DIR_ENV, main
 from sqdc.codec import bits_to_hex, random_bits
 from sqdc.harness import (
@@ -179,6 +180,21 @@ def test_run_trial_fixed_message():
     for i in range(20):
         outcome = run_trial(config, i)
         assert outcome.decoded_message == m
+
+
+def test_fixed_message_decoded_once_per_experiment(monkeypatch):
+    decoded = []
+    hex_to_bits = sqdc.harness.hex_to_bits
+    monkeypatch.setattr(
+        sqdc.harness, "hex_to_bits", lambda *args: decoded.append(args) or hex_to_bits(*args)
+    )
+    sqdc.harness._message_bits.cache_clear()
+    for message in ("a5c3", "3c00", "a5c3"):
+        config = make_config(n=32, trials=20, message=message)
+        run_experiment(config)
+        assert run_trial(config, 3).decoded_message == hex_to_bits(message, 4)
+    # validate() decodes once and every trial shares one more decoding
+    assert decoded == [(m, 4) for m in ("a5c3", "a5c3", "3c00", "3c00", "a5c3", "a5c3")]
 
 
 def test_run_experiment_honest():

@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from sqdc.adversary import AttackStrategy, InterceptResend, ModifySingleQubit
-from sqdc.codec import ALPHABET, decode_pair, random_bits, verify_block
+from sqdc.codec import ALPHABET, random_bits, verify_block
 from sqdc.keys import deinterleave, gen_keys, interleave
 from sqdc.protocol import (
     DetectionCause,
@@ -107,7 +107,7 @@ def test_modify_one_s_qubit_flips_exactly_one_block_bit():
         register.apply_pauli(q_seq[s_positions[j]], Pauli.IY)
         s_qubits, _ = deinterleave(q_seq, keys)
         results = [register.measure_z(q) for q in s_qubits]
-        block = [decode_pair(results[2 * i], results[2 * i + 1]) for i in range(8)]
+        block = [results[2 * i] ^ results[2 * i + 1] for i in range(8)]
         diff = [i for i in range(8) if block[i] != session.block[i]]
         assert diff == [j // 2]
 

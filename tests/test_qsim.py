@@ -4,6 +4,7 @@ entanglement swapping, and agreement with the dense full-register oracle on
 random scripts (outcomes, Bell-outcome probabilities and the full state after
 each step)."""
 
+import itertools
 import math
 from random import Random
 
@@ -232,6 +233,70 @@ def test_same_pair_bell_measure_certain_in_both_orders():
         assert amps == BELL_AMPLITUDES[outcome]
         assert outcome is expected  # every Bell state is (anti)symmetric
     assert signs == {1, -1}  # some Paulis leave the phase -1 before the reset
+
+
+BOUNDARY_US = (0.0, 0.25 - 2**-53, 0.25, 0.5 - 2**-53, 0.5, 0.75, 1 - 2**-53)
+
+
+class FixedUniform:
+    """Stands in for a register's rng: every uniform is u, and draws are counted."""
+
+    def __init__(self, u):
+        self.u = u
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return self.u
+
+
+def bell_boundary_setups():
+    """Scripts that prepare qubits on a register (engine or oracle; both hand
+    out the same ids) and return the two to Bell-measure."""
+    for bs in BELL_ORDER:  # one pair, measured in swapped order
+        yield lambda reg, bs=bs: reg.prepare_bell(bs)[::-1]
+    for a, b in itertools.product((0, 1), repeat=2):  # X parity a ^ b
+        yield lambda reg, a=a, b=b: (reg.alloc_qubit(a), reg.alloc_qubit(b))
+    for bit, bs, half, flip in itertools.product((0, 1), BELL_ORDER, (0, 1), (False, True)):
+
+        def teleport(reg, bit=bit, bs=bs, half=half, flip=flip):
+            q = reg.alloc_qubit(bit)
+            pair = (q, reg.prepare_bell(bs)[half])
+            return pair[::-1] if flip else pair
+
+        yield teleport
+    for bs1, bs2, h1, h2, flip in itertools.product(
+        BELL_ORDER, BELL_ORDER, (0, 1), (0, 1), (False, True)
+    ):
+
+        def swap(reg, bs1=bs1, bs2=bs2, h1=h1, h2=h2, flip=flip):
+            pair = (reg.prepare_bell(bs1)[h1], reg.prepare_bell(bs2)[h2])
+            return pair[::-1] if flip else pair
+
+        yield swap
+
+
+def test_bell_measure_closed_form_at_boundaries():
+    # the outcome read off u must be the inverse CDF over bell_probabilities,
+    # right at and just below each multiple of 1/4, and leave the partners as
+    # the dense oracle's projection onto that outcome does
+    for setup in bell_boundary_setups():
+        for u in BOUNDARY_US:
+            eng = QuantumRegister()
+            orc = DenseRegister(0)
+            qa, qb = setup(eng)
+            assert setup(orc) == (qa, qb)
+            acc, expected = 0.0, None
+            for bs, p in eng.bell_probabilities(qa, qb).items():
+                acc += p
+                if expected is None and u < acc:
+                    expected = bs
+            eng.rng = FixedUniform(u)
+            outcome = eng.bell_measure(qa, qb)
+            assert outcome is expected, (qa, qb, u)
+            assert eng.rng.draws == 1
+            assert orc.force_bell(qa, qb, outcome) > 0
+            assert states_equal(engine_state(eng, orc.qubits), orc.amps), (qa, qb, u)
 
 
 def test_bell_measure_identical_qubits_rejected():
