@@ -12,7 +12,6 @@ import hashlib
 import io
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import sqrt
 from random import Random
 
@@ -124,17 +123,11 @@ def run_trial(config: ExperimentConfig, index: int):
     rng = Random(rng_seed)
     keys = gen_keys(config.n, rng, include_k2=config.variant is Variant.RANDOMIZATION)
     if config.message is not None:
-        m = _message_bits(config.message, config.n // 8)
+        m = hex_to_bits(config.message, config.n // 8)
     else:
         m = random_bits(config.n // 8, rng)
     attack = ATTACKS[config.attack].build(config.attack_params, rng, keys.k1)
     return run_session(config.variant, m, keys, attack, register_seed)
-
-
-@lru_cache(maxsize=1)
-def _message_bits(message: str, nbits: int) -> tuple[int, ...]:
-    """A fixed message's bits, decoded once for all trials of an experiment."""
-    return tuple(hex_to_bits(message, nbits))
 
 
 def run_experiment(config: ExperimentConfig) -> DetectionStats:

@@ -63,6 +63,9 @@ BELL_ORDER = (
 _PAULI_XZ = {Pauli.X: (1, 0), Pauli.Z: (0, 1), Pauli.IY: (1, 1)}
 
 # Bell outcome weights over BELL_ORDER; all are exact binary fractions.
+# bell_measure mirrors these three cases in closed form, and
+# tests/test_qsim.py::test_bell_measure_closed_form_at_boundaries ties the two
+# together: a change to one must update the other.
 _CERTAIN = tuple(tuple(float(i == j) for j in range(4)) for i in range(4))
 _BASIS_PAIR = ((0.5, 0.5, 0.0, 0.0), (0.0, 0.0, 0.5, 0.5))  # by X parity a ^ b
 _UNIFORM = (0.25, 0.25, 0.25, 0.25)

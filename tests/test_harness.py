@@ -9,7 +9,6 @@ from random import Random
 
 import pytest
 
-import sqdc.harness
 from sqdc.cli import OUTPUT_DIR_ENV, main
 from sqdc.codec import bits_to_hex, random_bits
 from sqdc.harness import (
@@ -28,6 +27,7 @@ from sqdc.harness import (
 )
 from sqdc.keys import gen_keys
 from sqdc.protocol import Variant
+from sqdc.qsim import QuantumRegister
 
 
 def make_config(**overrides):
@@ -180,21 +180,6 @@ def test_run_trial_fixed_message():
     for i in range(20):
         outcome = run_trial(config, i)
         assert outcome.decoded_message == m
-
-
-def test_fixed_message_decoded_once_per_experiment(monkeypatch):
-    decoded = []
-    hex_to_bits = sqdc.harness.hex_to_bits
-    monkeypatch.setattr(
-        sqdc.harness, "hex_to_bits", lambda *args: decoded.append(args) or hex_to_bits(*args)
-    )
-    sqdc.harness._message_bits.cache_clear()
-    for message in ("a5c3", "3c00", "a5c3"):
-        config = make_config(n=32, trials=20, message=message)
-        run_experiment(config)
-        assert run_trial(config, 3).decoded_message == hex_to_bits(message, 4)
-    # validate() decodes once and every trial shares one more decoding
-    assert decoded == [(m, 4) for m in ("a5c3", "a5c3", "3c00", "3c00", "a5c3", "a5c3")]
 
 
 def test_run_experiment_honest():
@@ -372,6 +357,62 @@ def test_report_bytes_pinned(overrides, json_sha, csv_sha):
     stats = run_experiment(make_config(**overrides))
     for fmt, expected in (("json", json_sha), ("csv", csv_sha)):
         assert hashlib.sha256(emit_report(stats, fmt).encode()).hexdigest() == expected
+
+
+# SHA-256 over every measurement (call and outcome) of an experiment, then
+# over each session's final register components. The report pins above n = 16
+# read saturated detection rates, so they would miss an engine change that
+# keeps every verdict; this stream moves with the engine state, including the
+# partner left by teleportation (idealized Bob) or entanglement swapping
+# (concrete Bob).
+ENGINE_STREAMS = [
+    (
+        dict(attack="intercept_resend", n=64, trials=40, seed=13),
+        "d90131a92622123784ed8828849200065f0244fc94bd58991033069e359556a1",
+    ),
+    (
+        dict(attack="impersonate_bob", attack_params={"mode": "idealized"}, n=64, trials=40, seed=17),
+        "0b51933d112d9481833c6d899ee5c71651aff1443dfdf3b2953585bc705f1f82",
+    ),
+    (
+        dict(variant=Variant.MEASURE_RESEND, n=256, trials=20, seed=19),
+        "262eeabc46d7666cd4e928759c20a1450417a68c8f5e9cf064237abcb7497635",
+    ),
+    (
+        dict(attack="impersonate_bob", attack_params={"mode": "concrete"}, n=64, trials=20, seed=23),
+        "f40a839c08febc7eab7f32ced4082780ce669b2a5a7e5fe3f526130ca0a81aea",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "overrides, expected",
+    ENGINE_STREAMS,
+    ids=["intercept-n64", "idealized-bob-n64", "measure-resend-n256", "concrete-bob-n64"],
+)
+def test_engine_stream_pinned(monkeypatch, overrides, expected):
+    digest = hashlib.sha256()
+    registers = []
+    for name in ("measure_z", "bell_measure"):
+
+        def recorded(self, *args, _method=getattr(QuantumRegister, name)):
+            outcome = _method(self, *args)
+            digest.update(f"{_method.__name__} {args} {outcome};".encode())
+            return outcome
+
+        monkeypatch.setattr(QuantumRegister, name, recorded)
+
+    def kept(self, seed, _init=QuantumRegister.__init__):
+        _init(self, seed)
+        registers.append(self)
+
+    monkeypatch.setattr(QuantumRegister, "__init__", kept)
+    run_experiment(make_config(**overrides))
+    assert len(registers) == overrides["trials"]
+    for register in registers:
+        for q in register.live_qubits():
+            digest.update(f"{q} {register.component_snapshot(q)};".encode())
+    assert digest.hexdigest() == expected
 
 
 def test_emit_report_bad_format():
