@@ -364,7 +364,8 @@ def test_report_bytes_pinned(overrides, json_sha, csv_sha):
 # read saturated detection rates, so they would miss an engine change that
 # keeps every verdict; this stream moves with the engine state, including the
 # partner left by teleportation (idealized Bob) or entanglement swapping
-# (concrete Bob).
+# (concrete Bob), and the Bell label an iY leaves on either half of a pair
+# (modify_single).
 ENGINE_STREAMS = [
     (
         dict(attack="intercept_resend", n=64, trials=40, seed=13),
@@ -382,13 +383,31 @@ ENGINE_STREAMS = [
         dict(attack="impersonate_bob", attack_params={"mode": "concrete"}, n=64, trials=20, seed=23),
         "f40a839c08febc7eab7f32ced4082780ce669b2a5a7e5fe3f526130ca0a81aea",
     ),
+    (
+        dict(attack="modify_single", attack_params={"target": "c"}, n=64, trials=40, seed=29),
+        "f93278080ff0883526a99149bd3a4cf3768b39f96dc75f798c7fe9615e854dcf",
+    ),
+    (
+        dict(
+            variant=Variant.MEASURE_RESEND,
+            attack="modify_single",
+            attack_params={"target": "random"},
+            n=64,
+            trials=40,
+            seed=31,
+        ),
+        "7ae2001b8cbfe44acb0bdeb8dcae60a2cb6e6e14076200eb72dacc0a651ffdb6",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "overrides, expected",
     ENGINE_STREAMS,
-    ids=["intercept-n64", "idealized-bob-n64", "measure-resend-n256", "concrete-bob-n64"],
+    ids=[
+        "intercept-n64", "idealized-bob-n64", "measure-resend-n256", "concrete-bob-n64",
+        "modify-c-n64", "measure-resend-modify-random-n64",
+    ],
 )
 def test_engine_stream_pinned(monkeypatch, overrides, expected):
     digest = hashlib.sha256()
