@@ -44,8 +44,8 @@ class DetectionCause(Enum):
 class AliceSession:
     keys: KeyMaterial
     block: list[int]
-    # (retained qubit, transmitted qubit, initial Bell state) per checking pair
-    c_pairs: list[tuple[int, int, BellState]]
+    # (retained qubit, initial Bell state) per checking pair
+    c_pairs: list[tuple[int, BellState]]
 
 
 @dataclass
@@ -86,7 +86,7 @@ def alice_prepare(m, keys: KeyMaterial, register: QuantumRegister, variant: Vari
     for _ in range(n // 2):
         state = ALPHABET[random() >= 0.5]
         qc1, qc2 = prepare_bell(state)
-        c_pairs.append((qc1, qc2, state))
+        c_pairs.append((qc1, state))
         cb_seq.append(qc2)
 
     return AliceSession(keys, block, c_pairs), interleave(s_seq, cb_seq, keys)
@@ -173,7 +173,7 @@ def _check_pairs(session: AliceSession, returned, register: QuantumRegister):
     bell_measure = register.bell_measure
     return [
         bell_measure(qc1, back) == initial
-        for (qc1, _, initial), back in zip(session.c_pairs, returned)
+        for (qc1, initial), back in zip(session.c_pairs, returned)
     ]
 
 

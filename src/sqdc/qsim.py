@@ -8,12 +8,13 @@ measurement across components is teleportation or entanglement swapping), so
 the family is closed and a register holds it exactly as integer labels, with
 no amplitudes and nothing to drift.
 
-A component is a list [qubits, label, k]:
-- one qubit in i^k |label>, or
-- two qubits (qa, qb) in i^k (I ⊗ X^x Z^z)|Φ+>, where label = 2x + z is the
-  state's index in BELL_ORDER.
-The phase i^k is global to the component (k is 0 or 2, because the Paulis
-here are real). It only keeps snapshots exact: iY|0> reads (0, -1).
+A component is an immutable tuple (qubits, label) that its qubits share:
+- one qubit in |label>, or
+- two qubits (qa, qb) in (I ⊗ X^x Z^z)|Φ+>, label = 2x + z its BELL_ORDER index.
+It is held up to a global phase, which no measurement sees and a stabilizer
+simulator does not keep (Aaronson & Gottesman, PRA 70, 052328, 2004): iY|0>
+reads |1>, and a Pauli changes a pair's label the same way on either half. A
+change binds a new tuple to every qubit the component lists.
 
 Amplitude vectors are built only by `component_snapshot`, for inspection.
 Within a component the first qubit owns the most significant index bit.
@@ -82,7 +83,7 @@ class QuantumRegister:
     def __init__(self, seed=None):
         self.rng = Random(seed)
         self._next_id = 0
-        self._comp_of: dict[int, list] = {}
+        self._comp_of: dict[int, tuple] = {}
 
     # -- allocation ------------------------------------------------------
 
@@ -92,7 +93,7 @@ class QuantumRegister:
             raise ValueError(f"bit must be 0 or 1, got {bit!r}")
         q = self._next_id
         self._next_id = q + 1
-        self._comp_of[q] = [(q,), int(bit), 0]
+        self._comp_of[q] = ((q,), int(bit))
         return q
 
     def prepare_bell(self, bs: BellState) -> tuple[int, int]:
@@ -101,7 +102,7 @@ class QuantumRegister:
         qb = qa + 1
         self._next_id = qa + 2
         # tuple.index compares by identity first, unlike hashing the enum
-        self._comp_of[qa] = self._comp_of[qb] = [(qa, qb), BELL_ORDER.index(bs), 0]
+        self._comp_of[qa] = self._comp_of[qb] = ((qa, qb), BELL_ORDER.index(bs))
         return qa, qb
 
     # -- measurement -----------------------------------------------------
@@ -113,18 +114,16 @@ class QuantumRegister:
         the basis state its Z parity x fixes: outcome ^ x.
         """
         try:
-            comp = self._comp_of[q]
+            qubits, label = self._comp_of[q]
         except KeyError:
             raise ValueError(f"unknown qubit id {q!r}") from None
         u = self.rng.random()
-        qubits, label, _ = comp
         if len(qubits) == 1:  # |label> is certain
-            comp[2] = 0
             return label
         outcome = 0 if u < 0.5 else 1
         partner = qubits[1] if qubits[0] == q else qubits[0]
-        self._comp_of[q] = [(q,), outcome, 0]
-        self._comp_of[partner] = [(partner,), outcome ^ (label >> 1), 0]
+        self._comp_of[q] = ((q,), outcome)
+        self._comp_of[partner] = ((partner,), outcome ^ (label >> 1))
         return outcome
 
     def bell_probabilities(self, qa: int, qb: int) -> dict[BellState, float]:
@@ -163,9 +162,8 @@ class QuantumRegister:
             raise ValueError(f"unknown qubit id {exc.args[0]!r}") from None
         u = self.rng.random()
         if ca is cb:  # certain; u was drawn to keep streams aligned
-            if ca[0][0] != qa:  # every Bell label is symmetric up to sign
-                ca[0] = (qa, qb)
-            ca[2] = 0
+            if ca[0][0] != qa:  # every Bell state is symmetric up to phase
+                comp_of[qa] = comp_of[qb] = ((qa, qb), ca[1])
             return BELL_ORDER[ca[1]]
         qs_a, qs_b = ca[0], cb[0]
         if len(qs_a) == len(qs_b) == 1:  # X parity a ^ b, the Z phase even
@@ -177,56 +175,48 @@ class QuantumRegister:
             pa = qs_a[1] if qs_a[0] == qa else qs_a[0]
             pb = qs_b[1] if qs_b[0] == qb else qs_b[0]
             partners = (pa, pb) if pa < pb else (pb, pa)
-            comp_of[pa] = comp_of[pb] = [partners, ca[1] ^ cb[1] ^ label, 0]
+            comp_of[pa] = comp_of[pb] = (partners, ca[1] ^ cb[1] ^ label)
         else:
             # Teleportation: Z parities chain through the pair (x), the basis
             # qubit's bit and the outcome's X parity.
             label = int(4 * u)
             pair, basis, q = (ca, cb, qa) if len(qs_a) == 2 else (cb, ca, qb)
             p = pair[0][1] if pair[0][0] == q else pair[0][0]
-            comp_of[p] = [(p,), (pair[1] >> 1) ^ basis[1] ^ (label >> 1), 0]
-        comp_of[qa] = comp_of[qb] = [(qa, qb), label, 0]
+            comp_of[p] = ((p,), (pair[1] >> 1) ^ basis[1] ^ (label >> 1))
+        comp_of[qa] = comp_of[qb] = ((qa, qb), label)
         return BELL_ORDER[label]
 
     # -- unitaries -------------------------------------------------------
 
     def apply_pauli(self, q: int, op: Pauli) -> None:
-        """Apply a single-qubit Pauli-type unitary in place.
+        """Apply a single-qubit Pauli-type unitary, up to global phase.
 
-        On |b> or on the second qubit of a pair, P = Z^pz X^px multiplies
-        X^x Z^z from the left; on the first qubit, (P ⊗ I)|Φ+> = (I ⊗ P^T)|Φ+>
-        multiplies it from the right. Both give X^(x^px) Z^(z^pz) up to the
-        sign of the commuted X and Z.
+        P = Z^pz X^px flips a basis qubit by px. On a pair it gives label
+        2(x^px) + (z^pz) on either half: on the second it multiplies X^x Z^z
+        from the left, and on the first (P ⊗ I)|Φ+> = (I ⊗ P^T)|Φ+> with
+        P^T = ±P multiplies it from the right.
         """
         px, pz = _PAULI_XZ[op]
-        comp = self._component(q)
-        qubits, label, k = comp
-        if len(qubits) == 1:
-            comp[1] = label ^ px
-            comp[2] = (k + 2 * (pz & comp[1])) % 4
-        elif q == qubits[1]:
-            comp[1] = label ^ (2 * px + pz)
-            comp[2] = (k + 2 * (pz & (comp[1] >> 1))) % 4
-        else:
-            comp[1] = label ^ (2 * px + pz)
-            comp[2] = (k + 2 * (px & label)) % 4
+        qubits, label = self._component(q)
+        comp = (qubits, label ^ (px if len(qubits) == 1 else 2 * px + pz))
+        for p in qubits:
+            self._comp_of[p] = comp
 
     # -- introspection ---------------------------------------------------
 
     def component_snapshot(self, q: int) -> tuple[tuple[int, ...], tuple[complex, ...]]:
         """The qubits of the component containing q and its amplitude vector."""
-        qubits, label, k = self._component(q)
-        phase = 1j ** k
+        qubits, label = self._component(q)
         if len(qubits) == 1:
-            return qubits, ((phase, 0j) if label == 0 else (0j, phase))
-        return qubits, tuple(phase * a for a in BELL_AMPLITUDES[BELL_ORDER[label]])
+            return qubits, ((1 + 0j, 0j) if label == 0 else (0j, 1 + 0j))
+        return qubits, tuple(complex(a) for a in BELL_AMPLITUDES[BELL_ORDER[label]])
 
     def live_qubits(self) -> list[int]:
         return sorted(self._comp_of)
 
     # -- internals -------------------------------------------------------
 
-    def _component(self, q: int) -> list:
+    def _component(self, q: int) -> tuple:
         try:
             return self._comp_of[q]
         except KeyError:

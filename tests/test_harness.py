@@ -388,7 +388,7 @@ def test_matrix_report_bytes_pinned():
         )
         try:
             stats = run_experiment(config)
-        except Exception as exc:
+        except ValueError as exc:  # ConfigError included
             digest.update(f"{type(exc).__name__}: {exc};".encode())
             continue
         for fmt in ("json", "csv"):
@@ -401,7 +401,7 @@ def test_matrix_report_bytes_pinned():
 # read saturated detection rates, so they would miss an engine change that
 # keeps every verdict; this stream moves with the engine state, including the
 # partner left by teleportation (idealized Bob) or entanglement swapping
-# (concrete Bob), and the Bell label an iY leaves on either half of a pair
+# (concrete Bob), and the label an iY leaves on a transmitted qubit
 # (modify_single).
 ENGINE_STREAMS = [
     (

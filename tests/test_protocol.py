@@ -41,7 +41,7 @@ def test_prepare_structure_n16():
     assert len(session.c_pairs) == 8
     assert len(q_seq) == 16
     assert all(state in (BellState.PHI_PLUS, BellState.PSI_MINUS)
-               for _, _, state in session.c_pairs)
+               for _, state in session.c_pairs)
 
 
 def test_prepare_zero_message_pairs():
@@ -65,7 +65,7 @@ def test_prepare_checking_states_uniform():
         keys = gen_keys(16, rng)
         register = QuantumRegister(seed)
         session, _ = alice_prepare(random_bits(2, rng), keys, register, Variant.RANDOMIZATION)
-        counts += sum(1 for _, _, s in session.c_pairs if s == BellState.PHI_PLUS)
+        counts += sum(1 for _, s in session.c_pairs if s == BellState.PHI_PLUS)
         total += len(session.c_pairs)
     assert abs(counts / total - 0.5) < 0.02
 
