@@ -18,7 +18,7 @@ from __future__ import annotations
 from random import Random
 
 from .codec import ALPHABET
-from .keys import gen_keys, interleave
+from .keys import _shuffle, gen_keys, interleave
 from .protocol import Variant
 from .qsim import Pauli, QuantumRegister
 
@@ -83,7 +83,8 @@ class ImpersonateBobIdealized(AttackStrategy):
 class ImpersonateBobConcrete(AttackStrategy):
     """Receiver impersonation by blind guessing: Eve bypasses Bob and answers
     with a uniformly random half-size subset of the forward sequence in
-    uniformly random order."""
+    uniformly random order: `rng.sample(qubits, len(qubits) // 2)`, drawn as
+    a shuffle cut short after that many swaps, whose tail holds the picks."""
 
     bypasses_bob = True
 
@@ -91,20 +92,9 @@ class ImpersonateBobConcrete(AttackStrategy):
         self.rng = rng
 
     def tamper_backward(self, register, qubits):
-        # The pool branch of `rng.sample(qubits, len(qubits) // 2)`, which half a
-        # population always takes, with `_randbelow` inlined as in `keys._shuffle`.
-        getrandbits = self.rng.getrandbits
         pool = list(qubits)
-        n = len(pool)
-        out = []
-        for m in range(n, n - n // 2, -1):  # _randbelow(n - i) for draw i
-            k = m.bit_length()
-            j = getrandbits(k)
-            while j >= m:
-                j = getrandbits(k)
-            out.append(pool[j])
-            pool[j] = pool[m - 1]
-        return out
+        _shuffle(pool, self.rng, len(pool) // 2)
+        return pool[(len(pool) + 1) // 2 :][::-1]
 
 
 class InterceptResend(AttackStrategy):

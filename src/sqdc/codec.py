@@ -4,12 +4,12 @@ A message m of n/8 bits is extended to the block M = m || checksum(m), where
 the checksum is a truncated SHA-256 digest of the same length as m. Each block
 bit is carried by one Bell pair: 0 -> Phi+, 1 -> Psi-. The receiver recovers a
 block bit as the XOR of the two Z-measurement outcomes of the pair.
+Nothing here is random: `keys.random_bits` draws a random message.
 """
 
 from __future__ import annotations
 
 import hashlib
-from random import Random
 
 from .qsim import BellState
 
@@ -72,18 +72,6 @@ def verify_block(block):
 
 
 # -- bit-string plumbing ---------------------------------------------------
-
-
-def random_bits(k: int, rng: Random):
-    """k draws of `rng.randrange(2)`, inlined: the same getrandbits stream."""
-    getrandbits = rng.getrandbits
-    bits = []
-    for _ in range(k):
-        r = getrandbits(2)
-        while r > 1:
-            r = getrandbits(2)
-        bits.append(r)
-    return bits
 
 
 def bits_to_hex(bits) -> str:

@@ -17,8 +17,8 @@ from random import Random
 
 from . import __version__
 from .adversary import ATTACKS, Attack
-from .codec import HASH_NAME, bits_to_hex, hex_to_bits, random_bits
-from .keys import KeyMaterial, check_n, gen_keys
+from .codec import HASH_NAME, bits_to_hex, hex_to_bits
+from .keys import KeyMaterial, check_n, gen_keys, random_bits
 from .protocol import DetectionCause, Variant, run_session
 
 WILSON_Z_99 = 2.5758293035489004

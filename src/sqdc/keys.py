@@ -4,8 +4,10 @@ k1 (n bits, balanced) decides per transmitted position whether it carries a
 message qubit (bit 0) or a checking qubit (bit 1); in the measure-resend
 variant the same bit selects Bob's SHARE (0) or CHECK (1) mode. k2 (n/2 bits)
 seeds a Fisher-Yates shuffle that reorders the reflected checking qubits.
-Both k1 and the k2 permutation are drawn by `_shuffle`, which consumes the
-generator exactly as `Random.shuffle` does.
+Every draw that copies CPython's `_randbelow` lives here: `_shuffle` (k1, the
+k2 permutation, the concrete receiver impersonator's guess) and `random_bits`
+(k2, a random message) consume the generator exactly as `Random.shuffle`,
+`Random.sample` and `randrange(2)` do, as tests/test_keys.py pins.
 
 `KeyMaterial` alone checks these invariants; `interleave` and `deinterleave`
 take it and trust its k1. A permutation is a tuple p sending input position i
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
 
-from .codec import MAX_MESSAGE_BITS, pack_bits, random_bits
+from .codec import MAX_MESSAGE_BITS, pack_bits
 
 
 @dataclass(frozen=True)
@@ -95,12 +97,26 @@ def _permutation(k: tuple) -> tuple[int, ...]:
     return tuple(mapping)
 
 
-def _shuffle(x: list, rng: Random) -> None:
-    """`rng.shuffle(x)` with CPython's `_randbelow(i + 1)` inlined: the same
-    getrandbits words in the same order, so the same permutation (pinned
-    against the running interpreter in tests/test_keys.py)."""
+def random_bits(k: int, rng: Random):
+    """k draws of `rng.randrange(2)`, inlined: the same getrandbits stream."""
     getrandbits = rng.getrandbits
-    for i in range(len(x) - 1, 0, -1):
+    bits = []
+    for _ in range(k):
+        r = getrandbits(2)
+        while r > 1:
+            r = getrandbits(2)
+        bits.append(r)
+    return bits
+
+
+def _shuffle(x: list, rng: Random, swaps: int | None = None) -> None:
+    """`rng.shuffle(x)` with CPython's `_randbelow(i + 1)` inlined: the same
+    getrandbits words in the same order. Cut short after `swaps` swaps, it
+    draws as the pool branch of `rng.sample(x, swaps)` and leaves the picks at
+    x[-1], x[-2], ... (Durstenfeld, CACM 7(7) 420, 1964, Algorithm 235)."""
+    getrandbits = rng.getrandbits
+    stop = 0 if swaps is None else len(x) - 1 - swaps
+    for i in range(len(x) - 1, stop, -1):
         k = (i + 1).bit_length()
         j = getrandbits(k)
         while j > i:

@@ -9,14 +9,13 @@ from fractions import Fraction
 from itertools import permutations
 from random import Random
 
-from sqdc.codec import random_bits
 from sqdc.harness import (
     ExperimentConfig,
     run_experiment,
     run_trial,
     wilson_interval,
 )
-from sqdc.keys import KeyMaterial
+from sqdc.keys import KeyMaterial, random_bits
 from sqdc.protocol import DetectionCause, Variant, run_session
 from sqdc.qsim import BELL_ORDER, BellState, QuantumRegister
 

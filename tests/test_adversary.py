@@ -14,8 +14,7 @@ from sqdc.adversary import (
     ModifySingleQubit,
     ReflectAll,
 )
-from sqdc.codec import random_bits
-from sqdc.keys import gen_keys
+from sqdc.keys import gen_keys, random_bits
 from sqdc.protocol import DetectionCause, Variant, run_session
 from sqdc.qsim import BellState, QuantumRegister
 from dense_oracle import DenseRegister

@@ -1,5 +1,6 @@
 """Tests for block construction, checksums, and Bell encoding."""
 
+from fractions import Fraction
 from itertools import product
 from random import Random
 
@@ -13,9 +14,9 @@ from sqdc.codec import (
     hash_checksum,
     hex_to_bits,
     pack_bits,
-    random_bits,
     verify_block,
 )
+from sqdc.keys import random_bits
 from sqdc.qsim import BellState, QuantumRegister
 
 
@@ -110,6 +111,23 @@ def test_flipped_tail_bit_always_rejects():
         assert not ok
 
 
+def test_single_message_bit_flip_detection_is_exact():
+    # A flipped message-half qubit (`modify_single target=s_msg`) flips one
+    # message bit; the paper's "close to 1" holds exactly from n = 24 on, and
+    # an ideal hash would give 1 - 2^(-n/8) instead.
+    exact_rates = {16: Fraction(1, 2), 24: Fraction(11, 12), 32: 1, 64: Fraction(1021, 1024)}
+    for n, exact in exact_rates.items():
+        cases = caught = 0
+        for m in product((0, 1), repeat=n // 8):
+            block = build_block(m)
+            for i in range(n // 8):
+                block[i] ^= 1
+                caught += not verify_block(block)[0]
+                block[i] ^= 1
+                cases += 1
+        assert Fraction(caught, cases) == exact, n
+
+
 def test_verify_block_odd_length_rejected():
     with pytest.raises(ValueError):
         verify_block([0, 1, 0])
@@ -141,19 +159,6 @@ def test_encode_measure_decode_round_trip():
             assert reg.measure_z(qa) ^ reg.measure_z(qb) == bit
         if len(reg.live_qubits()) > 4000:
             reg = QuantumRegister(reg.rng.getrandbits(32))
-
-
-# -- bit draws -----------------------------------------------------------------------
-
-
-def test_random_bits_matches_stdlib_randrange():
-    drift = "CPython's _randbelow changed: random_bits no longer matches randrange(2)"
-    for seed in range(64):
-        ours, stdlib = Random(seed), Random(seed)
-        for k in (*range(131), 255, 256, 257, 1024, 2048):
-            where = f"{drift}, so reports would drift (seed {seed}, k {k})"
-            assert random_bits(k, ours) == [stdlib.randrange(2) for _ in range(k)], where
-            assert ours.getrandbits(32) == stdlib.getrandbits(32), where
 
 
 # -- hex plumbing -----------------------------------------------------------------

@@ -11,7 +11,7 @@ from random import Random
 import pytest
 
 from sqdc.cli import OUTPUT_DIR_ENV, main
-from sqdc.codec import bits_to_hex, random_bits
+from sqdc.codec import bits_to_hex
 from sqdc.harness import (
     ConfigError,
     DetectionStats,
@@ -26,7 +26,7 @@ from sqdc.harness import (
     trial_seeds,
     wilson_interval,
 )
-from sqdc.keys import gen_keys
+from sqdc.keys import gen_keys, random_bits
 from sqdc.protocol import Variant
 from sqdc.qsim import QuantumRegister
 

@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from sqdc.codec import pack_bits, random_bits
+from sqdc.codec import pack_bits
 from sqdc.keys import (
     KeyMaterial,
     _shuffle,
@@ -17,6 +17,7 @@ from sqdc.keys import (
     interleave,
     invert_perm,
     permutation_from_key,
+    random_bits,
 )
 
 
@@ -70,6 +71,10 @@ PIN_LENGTHS = (*range(131), 255, 256, 257, 1024, 2048)
 
 
 def test_shuffle_matches_stdlib_shuffle():
+    # a shuffle cut short after k swaps is `sample(x, k)` where sample takes
+    # its pool branch: always for len(x) <= 21, and at k = len(x) // 2
+    partial = [(length, k) for length in range(22) for k in range(length + 1)]
+    partial += [(length, length // 2) for length in PIN_LENGTHS]
     for seed in range(64):
         ours, stdlib = Random(seed), Random(seed)
         for length in PIN_LENGTHS:
@@ -78,6 +83,21 @@ def test_shuffle_matches_stdlib_shuffle():
             stdlib.shuffle(y)
             where = f"{STREAM_DRIFT} (seed {seed}, length {length})"
             assert x == y, where
+            assert ours.getrandbits(32) == stdlib.getrandbits(32), where
+        for length, k in partial:
+            x = list(range(length))
+            _shuffle(x, ours, k)
+            where = f"{STREAM_DRIFT} (seed {seed}, length {length}, swaps {k})"
+            assert x[length - k :][::-1] == stdlib.sample(range(length), k), where
+            assert ours.getrandbits(32) == stdlib.getrandbits(32), where
+
+
+def test_random_bits_matches_stdlib_randrange():
+    for seed in range(64):
+        ours, stdlib = Random(seed), Random(seed)
+        for k in PIN_LENGTHS:
+            where = f"{STREAM_DRIFT} (seed {seed}, k {k})"
+            assert random_bits(k, ours) == [stdlib.randrange(2) for _ in range(k)], where
             assert ours.getrandbits(32) == stdlib.getrandbits(32), where
 
 

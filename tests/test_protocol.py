@@ -5,8 +5,8 @@ from random import Random
 import pytest
 
 from sqdc.adversary import AttackStrategy, InterceptResend, ModifySingleQubit
-from sqdc.codec import ALPHABET, random_bits, verify_block
-from sqdc.keys import deinterleave, gen_keys, interleave
+from sqdc.codec import ALPHABET, verify_block
+from sqdc.keys import deinterleave, gen_keys, interleave, random_bits
 from sqdc.protocol import (
     DetectionCause,
     Variant,

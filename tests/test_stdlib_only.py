@@ -1,6 +1,7 @@
-"""The package runs on the standard library alone. numpy and other packages
-may be installed where the tests run, so an import of one would pass every
-other test; this one reads the imports off the sources instead."""
+"""Rules read off the sources. The package runs on the standard library
+alone: numpy and other packages may be installed where the tests run, so an
+import of one would pass every other test. And only `keys` copies CPython's
+random draws."""
 
 import ast
 import sys
@@ -27,3 +28,16 @@ def test_package_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert foreign == []
+
+
+def test_only_keys_copies_the_stdlib_draws():
+    # Reports reproduce only while the draws copy CPython's `_randbelow`; one
+    # module owns that copy, so a CPython change is mended in one place.
+    users = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            names += [alias.name for alias in getattr(node, "names", [])]
+            if "getrandbits" in names:
+                users.append(f"{path.name}:{node.lineno}")
+    assert {user.split(":")[0] for user in users} == {"keys.py"}, users
