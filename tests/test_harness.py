@@ -480,13 +480,13 @@ def test_emit_report_bad_format():
 # -- single-session configuration documents ---------------------------------------
 
 
-def session_doc(seed=5, **overrides):
+def session_doc(seed=5, size=16, **overrides):
     rng = Random(seed)
-    keys = gen_keys(16, rng)
-    m = random_bits(2, rng)
+    keys = gen_keys(size, rng)
+    m = random_bits(size // 8, rng)
     doc = {
         "variant": "randomization",
-        "n": 16,
+        "n": size,
         "message": bits_to_hex(m),
         "k1": bits_to_hex(list(keys.k1)),
         "k2": bits_to_hex(list(keys.k2)),
@@ -593,6 +593,38 @@ def test_session_config_round_trip_through_json():
     doc, m = session_doc(seed=9)
     parsed = load_session_config(json.dumps(doc))
     assert run_session_from_config(parsed) == run_session_from_config(doc)
+
+
+def document_transcript(doc) -> str:
+    """One session document's outcome, or its exception type and text."""
+    try:
+        result = run_session_from_config(load_session_config(json.dumps(doc)))
+    except ValueError as exc:  # ConfigError included
+        return f"{type(exc).__name__}: {exc};"
+    return "{bob_accepts},{alice_accepts},{decoded_message},{detection_cause},{security_event};".format(
+        **result
+    )
+
+
+# One SHA-256 over the documents of the matrix's attack settings: both
+# variants x MATRIX_ATTACKS x n in {16, 64} x seeds 1-3, keys and message drawn
+# as session_doc draws them (k2 null on measure-resend). Measure-resend x
+# concrete Bob raises ValueError and reflect_all on randomization ConfigError;
+# their texts are hashed, so fixing either is a deliberate re-pin.
+SESSION_TRANSCRIPTS_SHA = "a63ec305b42cfda17535546453a8bc72899bfb33e686f54793c561beef51e90f"
+
+
+def test_session_transcripts_pinned():
+    digest = hashlib.sha256()
+    for variant, (attack, params), size, seed in itertools.product(
+        Variant, MATRIX_ATTACKS, (16, 64), (1, 2, 3)
+    ):
+        overrides = dict(variant=variant.value, attack=attack, attack_params=params)
+        if variant is Variant.MEASURE_RESEND:
+            overrides["k2"] = None
+        doc, _ = session_doc(seed, size, **overrides)
+        digest.update(document_transcript(doc).encode())
+    assert digest.hexdigest() == SESSION_TRANSCRIPTS_SHA
 
 
 # -- CLI ------------------------------------------------------------------------
