@@ -30,6 +30,8 @@ def _parse_attack_params(pairs):
         if "=" not in pair:
             raise ConfigError(f"attack parameter must look like key=value, got {pair!r}")
         key, value = pair.split("=", 1)
+        if key in params:
+            raise ConfigError(f"attack parameter {key!r} given twice")
         try:
             params[key] = int(value)
         except ValueError:

@@ -2,7 +2,8 @@
 
 Each trial owns its own register, keys, message, and strategy instance, all
 derived deterministically from (base seed, trial index), so any report can be
-regenerated bit-for-bit from its embedded configuration.
+regenerated bit-for-bit from its embedded configuration. A single-session
+document runs through the same `run_trial`, as trial 0 with its own keys.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from random import Random
 
 from . import __version__
 from .adversary import ATTACKS, Attack
-from .codec import HASH_NAME, bits_to_hex, hex_to_bits
+from .codec import HASH_NAME, hex_to_bits
 from .keys import KeyMaterial, check_n, gen_keys, random_bits
 from .protocol import DetectionCause, Variant, run_session
 
@@ -118,10 +119,12 @@ def trial_seeds(base_seed: int, index: int) -> tuple[int, int]:
     return int.from_bytes(digest[:8], "big"), int.from_bytes(digest[8:16], "big")
 
 
-def run_trial(config: ExperimentConfig, index: int):
+def run_trial(config: ExperimentConfig, index: int, keys: KeyMaterial | None = None):
+    """Run trial `index` of a configuration; given keys are used, not drawn."""
     rng_seed, register_seed = trial_seeds(config.seed, index)
     rng = Random(rng_seed)
-    keys = gen_keys(config.n, rng, include_k2=config.variant is Variant.RANDOMIZATION)
+    if keys is None:
+        keys = gen_keys(config.n, rng, include_k2=config.variant is Variant.RANDOMIZATION)
     if config.message is not None:
         m = hex_to_bits(config.message, config.n // 8)
     else:
@@ -234,55 +237,43 @@ def emit_report(stats: DetectionStats, output_format: str) -> str:
 #   seed     : int; the attack and register seeds derive from it as for trial 0
 #   attack   : optional attack name (default "no_attack")
 #   attack_params : optional object
+# Any other key is rejected, so nothing a document says is silently ignored.
 
 
-def load_session_config(text: str) -> dict:
+def load_session_config(text: str) -> tuple[ExperimentConfig, KeyMaterial]:
+    """Parse a session document into the (config, keys) that
+    `run_trial(config, 0, keys)` runs."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed session config: {exc}") from None
-    _check_session_keys(doc)
-    return doc
-
-
-def _check_session_keys(doc) -> None:
     if not isinstance(doc, dict):
         raise ConfigError("session config must be a JSON object")
-    for key in ("variant", "n", "message", "k1", "seed"):
+    required = ("variant", "n", "message", "k1", "seed")
+    for key in required:
         if key not in doc:
             raise ConfigError(f"session config missing {key!r}")
-
-
-def run_session_from_config(doc: dict) -> dict:
-    """Execute one session from a parsed configuration document and return a
-    transcript mirroring the run outcome."""
-    _check_session_keys(doc)
+    unknown = sorted(doc.keys() - {*required, "k2", "attack", "attack_params"})
+    if unknown:
+        raise ConfigError(f"session config has unknown key {unknown[0]!r}")
     try:
         variant = Variant(doc["variant"])
     except ValueError:
         raise ConfigError(f"unknown variant {doc['variant']!r}") from None
     n, attack, params = doc["n"], doc.get("attack", "no_attack"), doc.get("attack_params", {})
     # a document is one session (trials=1) held to the checks and error text of `sqdc run`
-    ExperimentConfig(variant, attack, n, 1, doc["seed"], params, doc["message"]).validate()
+    config = ExperimentConfig(variant, attack, n, 1, doc["seed"], params, doc["message"])
+    config.validate()
+    if config.message is None:  # random per trial in a run; a document needs one
+        raise ConfigError("message: a session config needs a hex string, got None")
+    k2 = doc.get("k2")
+    if k2 is not None and variant is Variant.MEASURE_RESEND:
+        raise ConfigError(f"session config key 'k2' must be null for measure-resend, got {k2!r}")
     try:
-        # a null message passes validate() as "random per trial"; here it fails
-        m = hex_to_bits(doc["message"], n // 8)
         k1 = tuple(hex_to_bits(doc["k1"], n))
-        k2 = tuple(hex_to_bits(doc["k2"], n // 2)) if doc.get("k2") else None
-        keys = KeyMaterial(k1=k1, k2=k2)
+        keys = KeyMaterial(k1, tuple(hex_to_bits(k2, n // 2)) if k2 else None)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if k2 is None and variant is Variant.RANDOMIZATION:
+    if keys.k2 is None and variant is Variant.RANDOMIZATION:
         raise ConfigError("the randomization variant needs k2")
-    rng_seed, register_seed = trial_seeds(doc["seed"], 0)
-    strategy = ATTACKS[attack].build(params, Random(rng_seed), keys.k1)
-    outcome = run_session(variant, m, keys, strategy, register_seed)
-    return {
-        "bob_accepts": outcome.bob_accepts,
-        "alice_accepts": outcome.alice_accepts,
-        "decoded_message": (
-            bits_to_hex(outcome.decoded_message) if outcome.decoded_message is not None else None
-        ),
-        "detection_cause": outcome.detection_cause.value,
-        "security_event": outcome.security_event,
-    }
+    return config, keys

@@ -20,14 +20,13 @@ from sqdc.harness import (
     emit_report,
     report_dict,
     run_experiment,
-    run_session_from_config,
     load_session_config,
     run_trial,
     trial_seeds,
     wilson_interval,
 )
 from sqdc.keys import gen_keys, random_bits
-from sqdc.protocol import Variant
+from sqdc.protocol import DetectionCause, Variant
 from sqdc.qsim import QuantumRegister
 
 
@@ -496,19 +495,24 @@ def session_doc(seed=5, size=16, **overrides):
     return doc, m
 
 
+def run_document(doc):
+    """Load a session document from its JSON text and run it as trial 0."""
+    config, keys = load_session_config(json.dumps(doc))
+    return run_trial(config, 0, keys)
+
+
 def test_session_from_config_honest():
     doc, m = session_doc()
-    result = run_session_from_config(doc)
-    assert result["bob_accepts"] and result["alice_accepts"]
-    assert result["decoded_message"] == bits_to_hex(m)
-    assert result["detection_cause"] == "none"
-    assert result["security_event"] is False
+    outcome = run_document(doc)
+    assert outcome.bob_accepts and outcome.alice_accepts
+    assert outcome.decoded_message == m
+    assert outcome.detection_cause is DetectionCause.NONE
+    assert outcome.security_event is False
 
 
 def test_session_from_config_with_attack():
     doc, _ = session_doc(attack="intercept_resend")
-    result = run_session_from_config(doc)
-    assert result["bob_accepts"] is True  # parity survives Z measurement
+    assert run_document(doc).bob_accepts is True  # parity survives Z measurement
 
 
 def test_session_config_parsing_errors():
@@ -518,21 +522,19 @@ def test_session_config_parsing_errors():
         load_session_config(json.dumps({"variant": "randomization", "n": 16}))
     doc, _ = session_doc(variant="teleportation")
     with pytest.raises(ConfigError):
-        run_session_from_config(doc)
+        run_document(doc)
     doc, _ = session_doc(n=12)
     with pytest.raises(ConfigError):
-        run_session_from_config(doc)
+        run_document(doc)
     doc, _ = session_doc(k1="ffff")  # unbalanced
     with pytest.raises(ConfigError):
-        run_session_from_config(doc)
+        run_document(doc)
     # full size (balanced k1, k2 of n/2 bits), but n/8 bits outgrow SHA-256
     doc, _ = session_doc(n=2056, message="0" * 65, k1="0" * 257 + "f" * 257, k2="0" * 257)
     with pytest.raises(ConfigError, match="2048"):
-        run_session_from_config(doc)
+        run_document(doc)
     with pytest.raises(ConfigError):
         load_session_config("[]")
-    with pytest.raises(ConfigError):
-        run_session_from_config({"variant": "randomization", "n": 16})
     for overrides in (
         {"message": "zz"},
         {"message": "-f"},
@@ -555,7 +557,17 @@ def test_session_config_parsing_errors():
     ):
         doc, _ = session_doc(**overrides)
         with pytest.raises(ConfigError):
-            run_session_from_config(doc)
+            run_document(doc)
+    # what a document says but the run would ignore is rejected by name: an
+    # unknown key (this one would run an honest session) and a non-null k2 on
+    # measure-resend (it would be dropped)
+    for key, overrides in (
+        ("atack", {"atack": "intercept_resend"}),
+        ("k2", {"variant": "measure-resend"}),
+    ):
+        doc, _ = session_doc(**overrides)
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            run_document(doc)
 
 
 @pytest.mark.parametrize(
@@ -580,7 +592,7 @@ def test_session_document_shares_run_validator(field, value):
         make_config(**{field: value}).validate()
     doc, _ = session_doc(**{field: value})
     with pytest.raises(ConfigError) as from_doc:
-        run_session_from_config(doc)
+        run_document(doc)
     assert str(from_doc.value) == str(from_run.value)
 
 
@@ -589,20 +601,17 @@ def test_max_n_runs_one_trial():
     assert stats.cause_counts["none"] == 1
 
 
-def test_session_config_round_trip_through_json():
-    doc, m = session_doc(seed=9)
-    parsed = load_session_config(json.dumps(doc))
-    assert run_session_from_config(parsed) == run_session_from_config(doc)
-
-
 def document_transcript(doc) -> str:
     """One session document's outcome, or its exception type and text."""
     try:
-        result = run_session_from_config(load_session_config(json.dumps(doc)))
+        outcome = run_document(doc)
     except ValueError as exc:  # ConfigError included
         return f"{type(exc).__name__}: {exc};"
-    return "{bob_accepts},{alice_accepts},{decoded_message},{detection_cause},{security_event};".format(
-        **result
+    decoded = outcome.decoded_message
+    decoded = None if decoded is None else bits_to_hex(decoded)
+    return (
+        f"{outcome.bob_accepts},{outcome.alice_accepts},{decoded},"
+        f"{outcome.detection_cause.value},{outcome.security_event};"
     )
 
 
@@ -746,6 +755,9 @@ RUN = ["run", "--variant", "randomization", "--n", "16", "--trials", "5", "--see
         # n above 2048 would need a checksum longer than SHA-256's 256 bits
         ["analytic", "--attack", "no_attack", "--n", "4096"],
         RUN[:3] + ["--n", "2056", "--trials", "1", "--seed", "1", "--attack", "no_attack"],
+        # a repeated key would silently keep its last value
+        RUN + ["--attack", "modify_single"]
+        + ["--attack-param", "target=c", "--attack-param", "target=s"],
     ],
 )
 def test_cli_invalid_input_exit_code(argv, capsys):

@@ -1,7 +1,8 @@
 """Rules read off the sources. The package runs on the standard library
 alone: numpy and other packages may be installed where the tests run, so an
-import of one would pass every other test. And only `keys` copies CPython's
-random draws."""
+import of one would pass every other test. Only `keys` copies CPython's
+random draws. And every session, of a run or of a document, runs through
+`harness.run_trial`."""
 
 import ast
 import sys
@@ -41,3 +42,27 @@ def test_only_keys_copies_the_stdlib_draws():
             if "getrandbits" in names:
                 users.append(f"{path.name}:{node.lineno}")
     assert {user.split(":")[0] for user in users} == {"keys.py"}, users
+
+
+def test_sessions_run_only_through_run_trial():
+    # A second caller of trial_seeds or run_session would be a second trial
+    # path, free to drift from the one that reports are pinned on.
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        # ast.walk is breadth first, so the innermost function names the owner
+        owner = {
+            id(node): func.name
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("trial_seeds", "run_session"):
+                    calls.append(f"{path.name}::{owner.get(id(node))} calls {name}")
+    assert sorted(calls) == [
+        "harness.py::run_trial calls run_session",
+        "harness.py::run_trial calls trial_seeds",
+    ]
