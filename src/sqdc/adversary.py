@@ -18,7 +18,7 @@ from __future__ import annotations
 from random import Random
 
 from .codec import ALPHABET
-from .keys import _shuffle, gen_keys, interleave
+from .keys import KeyMaterial, _shuffle, deinterleave, gen_keys, interleave
 from .protocol import Variant
 from .qsim import Pauli, QuantumRegister
 
@@ -149,7 +149,7 @@ class Param:
 
 
 class Attack:
-    """One catalogue entry. `build_strategy(params, rng, k1)` makes a trial's
+    """One catalogue entry. `build_strategy(params, rng, keys)` makes a trial's
     strategy from the parameters with defaults filled in; `closed_form(variant,
     n, params)` gives (detection probability, formula), or None if unknown."""
 
@@ -162,9 +162,9 @@ class Attack:
     def resolve(self, params: dict) -> dict:
         return {key: params.get(key, p.default) for key, p in self.params.items()}
 
-    def build(self, params: dict, rng: Random, k1) -> AttackStrategy:
+    def build(self, params: dict, rng: Random, keys: KeyMaterial) -> AttackStrategy:
         """A fresh strategy for one trial; its random choices come from rng."""
-        return self.build_strategy(self.resolve(params), rng, k1)
+        return self.build_strategy(self.resolve(params), rng, keys)
 
     def check(self, variant: Variant, n: int, params) -> None:
         """Raise ValueError unless the variant and parameters fit this attack."""
@@ -183,20 +183,17 @@ class Attack:
         return self.closed_form(variant, n, self.resolve(params)) or (None, None)
 
 
-def _modify_single(params, rng: Random, k1) -> ModifySingleQubit:
+def _modify_single(params, rng: Random, keys: KeyMaterial) -> ModifySingleQubit:
     """Resolve a symbolic target against the trial's key layout here, so the
     strategy itself never sees key material."""
     target = params["target"]
+    n = len(keys.k1)
     if target == "random":
-        target = rng.randrange(len(k1))
-    elif target == "c":
-        target = rng.choice([i for i, b in enumerate(k1) if b == 1])
-    elif target in ("s", "s_msg"):
-        positions = [i for i, b in enumerate(k1) if b == 0]
-        if target == "s_msg":
-            # message-half block bits sit in the first half of the message stream
-            positions = positions[: len(k1) // 4]
-        target = rng.choice(positions)
+        target = rng.randrange(n)
+    elif target in ("s", "c", "s_msg"):
+        s, c = deinterleave(range(n), keys)
+        # message-half block bits sit in the first half of the message stream
+        target = rng.choice({"s": s, "c": c, "s_msg": s[: n // 4]}[target])
     return ModifySingleQubit(target)
 
 
@@ -204,13 +201,13 @@ _RAND = Variant.RANDOMIZATION
 
 ATTACKS = {
     "no_attack": Attack(
-        lambda p, rng, k1: AttackStrategy(),
+        lambda p, rng, keys: AttackStrategy(),
         closed_form=lambda v, n, p: (0.0, "honest runs are never rejected") if v is _RAND
         else (0.5 ** (n / 4), "reflect-flag false positive (1/2)^(n/4)"),
     ),
-    "impersonate_alice": Attack(lambda p, rng, k1: ImpersonateAlice(rng)),
+    "impersonate_alice": Attack(lambda p, rng, keys: ImpersonateAlice(rng)),
     "impersonate_bob": Attack(
-        lambda p, rng, k1: (
+        lambda p, rng, keys: (
             ImpersonateBobIdealized if p["mode"] == "idealized" else ImpersonateBobConcrete
         )(rng),
         params={"mode": Param(
@@ -221,7 +218,7 @@ ATTACKS = {
         if v is _RAND and p["mode"] == "idealized" else None,
     ),
     "intercept_resend": Attack(
-        lambda p, rng, k1: InterceptResend(),
+        lambda p, rng, keys: InterceptResend(),
         closed_form=lambda v, n, p: (1.0 - 0.5 ** (n / 2), "1-(1/2)^(n/2)")
         if v is _RAND else None,
     ),
@@ -237,7 +234,7 @@ ATTACKS = {
         ) if p["target"] == "c" else None,
     ),
     "reflect_all": Attack(
-        lambda p, rng, k1: ReflectAll(),
+        lambda p, rng, keys: ReflectAll(),
         variants=(Variant.MEASURE_RESEND,),
         closed_form=lambda v, n, p: (
             1.0, "all-reflected message pairs always match their initial states"

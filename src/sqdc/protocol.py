@@ -126,24 +126,18 @@ def alice_randomization_step4(returned, session: AliceSession, register: Quantum
 
 
 def bob_measure_resend_step23(q_seq, keys: KeyMaterial, register: QuantumRegister):
-    """Steps 2*/3*: per position SHARE (measure, resend a fresh qubit in the
-    observed state) or CHECK (reflect untouched), then decode and verify.
+    """Steps 2*/3*: split by k1, Z-measure the SHARE qubits, decode and
+    verify; resend a fresh qubit in each observed state and reflect the CHECK
+    qubits untouched, merged by k1 again.
 
     Returns (verdict, decoded message, returned sequence of length n).
     """
-    if len(q_seq) != len(keys.k1):
-        raise ValueError("sequence length must equal k1 length")
-    results = []
-    returned = []
-    for bit, q in zip(keys.k1, q_seq):
-        if bit == 0:  # SHARE
-            b = register.measure_z(q)
-            results.append(b)
-            returned.append(register.alloc_qubit(b))
-        else:  # CHECK
-            returned.append(q)
+    s_qubits, cb_qubits = deinterleave(q_seq, keys)
+    measure_z = register.measure_z
+    results = [measure_z(q) for q in s_qubits]
     ok, m_decoded = _decode_block(results)
-    return ok, m_decoded, returned
+    alloc_qubit = register.alloc_qubit
+    return ok, m_decoded, interleave([alloc_qubit(b) for b in results], cb_qubits, keys)
 
 
 def alice_measure_resend_step4(returned, session: AliceSession, register: QuantumRegister):

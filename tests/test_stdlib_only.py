@@ -44,6 +44,22 @@ def test_only_keys_copies_the_stdlib_draws():
     assert {user.split(":")[0] for user in users} == {"keys.py"}, users
 
 
+def test_only_keys_walks_k1():
+    # `keys.interleave` and `deinterleave` are the one map from k1 bits to
+    # positions; a loop over k1 elsewhere would be a second copy of it.
+    walkers = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "keys.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+                continue
+            names = {getattr(sub, "id", getattr(sub, "attr", None)) for sub in ast.walk(node.iter)}
+            if "k1" in names:
+                walkers.append(f"{path.name}:{node.iter.lineno}")
+    assert walkers == []
+
+
 def test_sessions_run_only_through_run_trial():
     # A second caller of trial_seeds or run_session would be a second trial
     # path, free to drift from the one that reports are pinned on.
