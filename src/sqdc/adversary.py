@@ -19,7 +19,7 @@ from random import Random
 
 from .codec import ALPHABET
 from .keys import KeyMaterial, _shuffle, deinterleave, gen_keys, interleave
-from .protocol import Variant
+from .protocol import Variant, bob_measure_resend_step23
 from .qsim import Pauli, QuantumRegister
 
 
@@ -81,10 +81,11 @@ class ImpersonateBobIdealized(AttackStrategy):
 
 
 class ImpersonateBobConcrete(AttackStrategy):
-    """Receiver impersonation by blind guessing: Eve bypasses Bob and answers
-    with a uniformly random half-size subset of the forward sequence in
-    uniformly random order: `rng.sample(qubits, len(qubits) // 2)`, drawn as
-    a shuffle cut short after that many swaps, whose tail holds the picks."""
+    """Receiver impersonation by blind guessing on the randomization variant:
+    Eve bypasses Bob and answers with a uniformly random half-size subset of
+    the forward sequence in uniformly random order: `rng.sample(qubits,
+    len(qubits) // 2)`, drawn as a shuffle cut short after that many swaps,
+    whose tail holds the picks."""
 
     bypasses_bob = True
 
@@ -95,6 +96,26 @@ class ImpersonateBobConcrete(AttackStrategy):
         pool = list(qubits)
         _shuffle(pool, self.rng, len(pool) // 2)
         return pool[(len(pool) + 1) // 2 :][::-1]
+
+
+class ImpersonateBobGuessedKey(AttackStrategy):
+    """Receiver impersonation by blind guessing on the measure-resend variant:
+    Eve bypasses Bob and runs his steps 2*/3* with a balanced k1' drawn as the
+    protocol draws one, measuring and resending where k1' is 0 and reflecting
+    where it is 1: the measure-or-reflect receiver of Boyer, Kenigsberg & Mor
+    (PRL 99, 140501, 2007). Each of the j checking slots she guesses SHARE
+    passes w.p. 1/2, and each of the r message pairs with a measured half
+    matches its initial state w.p. 1/2, so Alice accepts w.p.
+    E[(1/2)^j (1 - (1/2)^r)]: 619/8580 at n=16."""
+
+    bypasses_bob = True
+
+    def __init__(self, rng: Random):
+        self.rng = rng
+
+    def tamper_backward(self, register, qubits):
+        guess = gen_keys(len(qubits), self.rng, include_k2=False)
+        return bob_measure_resend_step23(qubits, guess, register)[2]
 
 
 class InterceptResend(AttackStrategy):
@@ -149,8 +170,8 @@ class Param:
 
 
 class Attack:
-    """One catalogue entry. `build_strategy(params, rng, keys)` makes a trial's
-    strategy from the parameters with defaults filled in; `closed_form(variant,
+    """One catalogue entry. `build_strategy(params, rng, keys, variant)` makes a
+    trial's strategy from the parameters with defaults filled in; `closed_form(variant,
     n, params)` gives (detection probability, formula), or None if unknown."""
 
     def __init__(self, build_strategy, params=None, variants=tuple(Variant), closed_form=None):
@@ -162,9 +183,9 @@ class Attack:
     def resolve(self, params: dict) -> dict:
         return {key: params.get(key, p.default) for key, p in self.params.items()}
 
-    def build(self, params: dict, rng: Random, keys: KeyMaterial) -> AttackStrategy:
+    def build(self, params: dict, rng: Random, keys: KeyMaterial, variant: Variant):
         """A fresh strategy for one trial; its random choices come from rng."""
-        return self.build_strategy(self.resolve(params), rng, keys)
+        return self.build_strategy(self.resolve(params), rng, keys, variant)
 
     def check(self, variant: Variant, n: int, params) -> None:
         """Raise ValueError unless the variant and parameters fit this attack."""
@@ -183,7 +204,7 @@ class Attack:
         return self.closed_form(variant, n, self.resolve(params)) or (None, None)
 
 
-def _modify_single(params, rng: Random, keys: KeyMaterial) -> ModifySingleQubit:
+def _modify_single(params, rng: Random, keys: KeyMaterial, variant) -> ModifySingleQubit:
     """Resolve a symbolic target against the trial's key layout here, so the
     strategy itself never sees key material."""
     target = params["target"]
@@ -201,14 +222,15 @@ _RAND = Variant.RANDOMIZATION
 
 ATTACKS = {
     "no_attack": Attack(
-        lambda p, rng, keys: AttackStrategy(),
+        lambda p, rng, keys, v: AttackStrategy(),
         closed_form=lambda v, n, p: (0.0, "honest runs are never rejected") if v is _RAND
         else (0.5 ** (n / 4), "reflect-flag false positive (1/2)^(n/4)"),
     ),
-    "impersonate_alice": Attack(lambda p, rng, keys: ImpersonateAlice(rng)),
+    "impersonate_alice": Attack(lambda p, rng, keys, v: ImpersonateAlice(rng)),
     "impersonate_bob": Attack(
-        lambda p, rng, keys: (
-            ImpersonateBobIdealized if p["mode"] == "idealized" else ImpersonateBobConcrete
+        lambda p, rng, keys, v: (
+            ImpersonateBobIdealized if p["mode"] == "idealized"
+            else ImpersonateBobConcrete if v is _RAND else ImpersonateBobGuessedKey
         )(rng),
         params={"mode": Param(
             "idealized", ("idealized", "concrete"),
@@ -218,7 +240,7 @@ ATTACKS = {
         if v is _RAND and p["mode"] == "idealized" else None,
     ),
     "intercept_resend": Attack(
-        lambda p, rng, keys: InterceptResend(),
+        lambda p, rng, keys, v: InterceptResend(),
         closed_form=lambda v, n, p: (1.0 - 0.5 ** (n / 2), "1-(1/2)^(n/2)")
         if v is _RAND else None,
     ),
@@ -234,7 +256,7 @@ ATTACKS = {
         ) if p["target"] == "c" else None,
     ),
     "reflect_all": Attack(
-        lambda p, rng, keys: ReflectAll(),
+        lambda p, rng, keys, v: ReflectAll(),
         variants=(Variant.MEASURE_RESEND,),
         closed_form=lambda v, n, p: (
             1.0, "all-reflected message pairs always match their initial states"

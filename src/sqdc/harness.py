@@ -129,7 +129,7 @@ def run_trial(config: ExperimentConfig, index: int, keys: KeyMaterial | None = N
         m = hex_to_bits(config.message, config.n // 8)
     else:
         m = random_bits(config.n // 8, rng)
-    attack = ATTACKS[config.attack].build(config.attack_params, rng, keys)
+    attack = ATTACKS[config.attack].build(config.attack_params, rng, keys, config.variant)
     return run_session(config.variant, m, keys, attack, register_seed)
 
 

@@ -6,7 +6,8 @@ reports every criterion it reached.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations, product
+from math import comb
 from random import Random
 
 from sqdc.harness import (
@@ -15,7 +16,7 @@ from sqdc.harness import (
     run_trial,
     wilson_interval,
 )
-from sqdc.keys import KeyMaterial, random_bits
+from sqdc.keys import KeyMaterial, deinterleave, gen_keys, random_bits
 from sqdc.protocol import DetectionCause, Variant, run_session
 from sqdc.qsim import BELL_ORDER, BellState, QuantumRegister
 
@@ -305,4 +306,54 @@ def test_criterion_9_blind_guess_acceptance_exact_oracle():
         ok,
         f"rate={accepts / trials:.6f} expected={expected:.6f} "
         f"wilson99=({low:.6f},{high:.6f})",
+    )
+
+
+def _guessed_key_acceptance(j: int, r: int) -> Fraction:
+    """Alice's acceptance of the measure-resend receiver impersonator, given
+    j checking slots guessed SHARE (each passes w.p. 1/2) and r message pairs
+    with a measured half (each matches its initial state w.p. 1/2; if every
+    pair matches, the reflect flag rejects)."""
+    return Fraction(1, 2**j) * (1 - Fraction(1, 2**r))
+
+
+def _guessed_key_acceptance_exact(n: int) -> Fraction:
+    """Average over the guess on the n/2 message slots: one with j ones there
+    leaves j zeros, j SHARE guesses, for the checking slots, in C(n/2, j)
+    ways out of C(n, n/2)."""
+    total = Fraction(0)
+    for ones in product((0, 1), repeat=n // 2):
+        r = sum(1 for a, b in zip(ones[::2], ones[1::2]) if not (a and b))
+        total += comb(n // 2, sum(ones)) * _guessed_key_acceptance(sum(ones), r)
+    return total / comb(n, n // 2)
+
+
+def test_criterion_10_guessed_key_acceptance_exact():
+    """Receiver impersonation on measure-resend, Bob's own steps run with a
+    guessed k1': exact acceptance at n=16 and 24, a brute force over every
+    guess at n=16, and a Monte Carlo run at n=16 inside its Wilson interval."""
+    exact = {16: Fraction(619, 8580), 24: Fraction(4667755, 213004288)}
+    assert {n: _guessed_key_acceptance_exact(n) for n in exact} == exact
+
+    keys = gen_keys(16, Random(1010), include_k2=False)
+    brute = Fraction(0)
+    for share in combinations(range(16), 8):
+        s, c = deinterleave([int(i not in share) for i in range(16)], keys)
+        r = sum(1 for a, b in zip(s[::2], s[1::2]) if not (a and b))
+        brute += _guessed_key_acceptance(c.count(0), r)
+    assert brute / comb(16, 8) == exact[16]
+
+    trials = 20_000
+    stats = run_experiment(
+        config(Variant.MEASURE_RESEND, "impersonate_bob", 16, trials, 1010, {"mode": "concrete"})
+    )
+    target = 1 - exact[16]  # 7961/8580
+    low, high = stats.wilson_99
+    ok = low <= target <= high and stats.bob_accept_rate == 0.0
+    report(
+        10,
+        "measure-resend receiver impersonation with a guessed k1' matches the "
+        "exact detection 7961/8580 at n=16",
+        ok,
+        f"rate={stats.detection_rate:.6f} wilson99=({low:.6f},{high:.6f}) target={float(target):.6f}",
     )

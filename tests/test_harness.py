@@ -157,7 +157,7 @@ def test_config_validation_accepts_good():
     make_config(variant=Variant.MEASURE_RESEND, attack="reflect_all").validate()
     make_config(attack="modify_single", attack_params={"target": 3}).validate()
     make_config(attack="modify_single", attack_params={"target": 15}).validate()
-    # known defect: this pair passes validation and fails at run time
+    # runs Bob's own steps with a guessed k1 (tests/test_acceptance.py, criterion 10)
     make_config(
         variant=Variant.MEASURE_RESEND, attack="impersonate_bob", attack_params={"mode": "concrete"}
     ).validate()
