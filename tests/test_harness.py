@@ -362,9 +362,10 @@ def test_report_bytes_pinned(overrides, json_sha, csv_sha):
 # The benchmark matrix: both variants x these attack settings x n in {16, 64,
 # 256}. A refactor is done when its reports are byte-identical, so one SHA-256
 # over all of them is pinned; a config that raises hashes its exception type
-# and text instead (reflect_all on randomization is rejected, and
-# measure-resend x concrete Bob fails in its first trial), so fixing either is
-# a deliberate re-pin.
+# and text instead (reflect_all on randomization is rejected), so a change to
+# either is a deliberate re-pin. Measure-resend x concrete Bob raised in its
+# first trial until it ran Bob's steps with a guessed k1; with that pair
+# skipped the digest, c61b80af..., is the same before and after that fix.
 MATRIX_ATTACKS = [
     ("no_attack", {}),
     ("impersonate_alice", {}),
@@ -374,7 +375,7 @@ MATRIX_ATTACKS = [
     ("reflect_all", {}),
     *(("modify_single", {"target": t}) for t in ("random", "s", "c", "s_msg", 3)),
 ]
-MATRIX_SHA = "deae9d2c5ce9d5966a70f99f1c5aa4901bb03fc3ae8587a0efda42eb9d6f695b"
+MATRIX_SHA = "ba2dc2f2037da8016554460cd40f99ac7afe00b589d7869366d983fe6fbdb5b2"
 
 
 def test_matrix_report_bytes_pinned():
@@ -617,10 +618,12 @@ def document_transcript(doc) -> str:
 
 # One SHA-256 over the documents of the matrix's attack settings: both
 # variants x MATRIX_ATTACKS x n in {16, 64} x seeds 1-3, keys and message drawn
-# as session_doc draws them (k2 null on measure-resend). Measure-resend x
-# concrete Bob raises ValueError and reflect_all on randomization ConfigError;
-# their texts are hashed, so fixing either is a deliberate re-pin.
-SESSION_TRANSCRIPTS_SHA = "a63ec305b42cfda17535546453a8bc72899bfb33e686f54793c561beef51e90f"
+# as session_doc draws them (k2 null on measure-resend). reflect_all on
+# randomization raises ConfigError, whose text is hashed, so a change to it is
+# a deliberate re-pin. Measure-resend x concrete Bob raised ValueError until it
+# ran Bob's steps with a guessed k1; with that pair skipped the digest,
+# ecb7913a..., is the same before and after that fix.
+SESSION_TRANSCRIPTS_SHA = "bbeee5ffe860dbfc8d9cd01e3121e9ca450d015d4c2dfd5c45a4b32fd2fc6518"
 
 
 def test_session_transcripts_pinned():
