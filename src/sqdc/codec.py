@@ -81,11 +81,13 @@ def bits_to_hex(bits) -> str:
 
 
 def hex_to_bits(text: str, nbits: int):
-    """First nbits of the bit expansion of a string of hex digits."""
+    """The nbits that a string of exactly ceil(nbits/4) hex digits carries,
+    MSB-first; the padding bits of the last digit are ignored."""
     if not isinstance(text, str) or not _HEX_DIGITS.issuperset(text):
         raise ValueError(f"not a string of hex digits: {text!r}")
-    if len(text) * 4 < nbits:
-        raise ValueError(f"need at least {nbits} bits, got {len(text) * 4}")
+    digits = -(-nbits // 4)
+    if len(text) != digits:
+        raise ValueError(f"need {digits} hex digits for {nbits} bits, got {len(text)}")
     value = int(text, 16)
     total = len(text) * 4
     return [(value >> (total - 1 - i)) & 1 for i in range(nbits)]

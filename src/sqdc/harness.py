@@ -231,9 +231,9 @@ def emit_report(stats: DetectionStats, output_format: str) -> str:
 # Schema (JSON object):
 #   variant  : "randomization" | "measure-resend"
 #   n        : int, multiple of 8, 16..2048
-#   message  : hex string carrying at least n/8 bits
-#   k1       : hex string carrying n bits (must be balanced)
-#   k2       : hex string carrying n/2 bits, or null (measure-resend)
+#   message  : hex string of exactly ceil(n/32) digits carrying n/8 bits
+#   k1       : hex string of n/4 digits carrying n bits (must be balanced)
+#   k2       : hex string of n/8 digits carrying n/2 bits, or null (measure-resend)
 #   seed     : int; the attack and register seeds derive from it as for trial 0
 #   attack   : optional attack name (default "no_attack")
 #   attack_params : optional object

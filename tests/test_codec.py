@@ -174,5 +174,10 @@ def test_hex_round_trip():
 def test_hex_to_bits_too_short():
     with pytest.raises(ValueError):
         hex_to_bits("a", 5)
+    # too long: exactly ceil(nbits/4) digits, so nothing is dropped unseen
+    for text, nbits in (("ab", 4), ("abc", 8), ("0f", 2)):
+        with pytest.raises(ValueError, match="hex digits"):
+            hex_to_bits(text, nbits)
+    assert hex_to_bits("f", 2) == [1, 1]  # the padding bits of the last digit
     with pytest.raises(ValueError):
         bits_to_hex([0, 2])

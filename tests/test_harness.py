@@ -128,7 +128,7 @@ def test_analytic_unknown_attack():
         {"attack": "reflect_all"},  # randomization variant
         {"attack": "impersonate_bob", "attack_params": {"mode": "teleport"}},
         {"attack": "modify_single", "attack_params": {"target": "everything"}},
-        {"message": "ab"},  # too short for n/8 = 4 bits? "ab" has 8 bits -- use n=96
+        {"message": "ab"},  # 2 digits: too few at n=96, too many at n=32
         {"attack_params": {"bogus": 1}},
         {"attack": "modify_single", "attack_params": {"target": 999}},
         {"attack": "modify_single", "attack_params": {"target": -1}},
@@ -143,13 +143,15 @@ def test_analytic_unknown_attack():
     ],
 )
 def test_config_validation_rejects(overrides):
+    configs = [make_config(**overrides)]
     if overrides == {"message": "ab"}:
-        config = make_config(n=96, message="ab")  # 8 hex bits < 12 message bits
-    else:
-        config = make_config(**overrides)
-    # the error names a field the case set
-    with pytest.raises(ConfigError, match="|".join(overrides)):
-        config.validate()
+        # 12 message bits need 3 digits; 4 bits need 1, and a surplus digit
+        # would be dropped while the report shows it
+        configs = [make_config(n=96, message="ab"), make_config(n=32, message="ab")]
+    for config in configs:
+        # the error names a field the case set
+        with pytest.raises(ConfigError, match="|".join(overrides)):
+            config.validate()
 
 
 def test_config_validation_accepts_good():
@@ -161,7 +163,7 @@ def test_config_validation_accepts_good():
     make_config(
         variant=Variant.MEASURE_RESEND, attack="impersonate_bob", attack_params={"mode": "concrete"}
     ).validate()
-    make_config(n=32, message="ab").validate()
+    make_config(n=16, message="f").validate()  # 2 bits; the digit's other 2 pad
 
 
 # -- trial plumbing -----------------------------------------------------------------
@@ -544,6 +546,10 @@ def test_session_config_parsing_errors():
         {"k1": "zzzz"},
         {"k2": None},  # randomization needs k2
         {"k2": "f"},  # too short
+        # a surplus digit would be dropped: each of these ran before digits were counted
+        {"message": "0f"},
+        {"k1": "00ff0"},
+        {"k2": "0f0"},
         {"seed": "5"},
         {"seed": 1.5},
         {"attack": "time_travel"},
@@ -586,6 +592,7 @@ def test_session_config_parsing_errors():
         ("message", "zz"),
         ("message", "-f"),
         ("message", 3),
+        ("message", "0f"),  # n/8 = 2 bits take 1 digit
     ],
 )
 def test_session_document_shares_run_validator(field, value):
@@ -761,6 +768,8 @@ RUN = ["run", "--variant", "randomization", "--n", "16", "--trials", "5", "--see
         # a repeated key would silently keep its last value
         RUN + ["--attack", "modify_single"]
         + ["--attack-param", "target=c", "--attack-param", "target=s"],
+        # the surplus digit would be dropped while the report shows it
+        RUN + ["--attack", "no_attack", "--message", "0f"],
     ],
 )
 def test_cli_invalid_input_exit_code(argv, capsys):
