@@ -145,8 +145,7 @@ def test_analytic_unknown_attack():
 def test_config_validation_rejects(overrides):
     configs = [make_config(**overrides)]
     if overrides == {"message": "ab"}:
-        # 12 message bits need 3 digits; 4 bits need 1, and a surplus digit
-        # would be dropped while the report shows it
+        # 12 message bits need 3 digits, and 4 bits need exactly 1
         configs = [make_config(n=96, message="ab"), make_config(n=32, message="ab")]
     for config in configs:
         # the error names a field the case set
@@ -365,9 +364,7 @@ def test_report_bytes_pinned(overrides, json_sha, csv_sha):
 # 256}. A refactor is done when its reports are byte-identical, so one SHA-256
 # over all of them is pinned; a config that raises hashes its exception type
 # and text instead (reflect_all on randomization is rejected), so a change to
-# either is a deliberate re-pin. Measure-resend x concrete Bob raised in its
-# first trial until it ran Bob's steps with a guessed k1; with that pair
-# skipped the digest, c61b80af..., is the same before and after that fix.
+# either is a deliberate re-pin.
 MATRIX_ATTACKS = [
     ("no_attack", {}),
     ("impersonate_alice", {}),
@@ -546,7 +543,7 @@ def test_session_config_parsing_errors():
         {"k1": "zzzz"},
         {"k2": None},  # randomization needs k2
         {"k2": "f"},  # too short
-        # a surplus digit would be dropped: each of these ran before digits were counted
+        # one surplus digit each: rejected, not dropped
         {"message": "0f"},
         {"k1": "00ff0"},
         {"k2": "0f0"},
@@ -627,9 +624,7 @@ def document_transcript(doc) -> str:
 # variants x MATRIX_ATTACKS x n in {16, 64} x seeds 1-3, keys and message drawn
 # as session_doc draws them (k2 null on measure-resend). reflect_all on
 # randomization raises ConfigError, whose text is hashed, so a change to it is
-# a deliberate re-pin. Measure-resend x concrete Bob raised ValueError until it
-# ran Bob's steps with a guessed k1; with that pair skipped the digest,
-# ecb7913a..., is the same before and after that fix.
+# a deliberate re-pin.
 SESSION_TRANSCRIPTS_SHA = "bbeee5ffe860dbfc8d9cd01e3121e9ca450d015d4c2dfd5c45a4b32fd2fc6518"
 
 
@@ -768,7 +763,7 @@ RUN = ["run", "--variant", "randomization", "--n", "16", "--trials", "5", "--see
         # a repeated key would silently keep its last value
         RUN + ["--attack", "modify_single"]
         + ["--attack-param", "target=c", "--attack-param", "target=s"],
-        # the surplus digit would be dropped while the report shows it
+        # one surplus digit: rejected, not dropped while the report shows it
         RUN + ["--attack", "no_attack", "--message", "0f"],
     ],
 )
