@@ -170,9 +170,10 @@ class Param:
 
 
 class Attack:
-    """One catalogue entry. `build_strategy(params, rng, keys, variant)` makes a
-    trial's strategy from the parameters with defaults filled in; `closed_form(variant,
-    n, params)` gives (detection probability, formula), or None if unknown."""
+    """One catalogue entry. `build_strategy(params, rng, keys, variant)` makes
+    a trial's strategy from the parameters with defaults filled in;
+    `closed_form(variant, n, params)` gives (detection probability, formula),
+    or None if unknown."""
 
     def __init__(self, build_strategy, params=None, variants=tuple(Variant), closed_form=None):
         self.build_strategy = build_strategy
@@ -204,7 +205,7 @@ class Attack:
         return self.closed_form(variant, n, self.resolve(params)) or (None, None)
 
 
-def _modify_single(params, rng: Random, keys: KeyMaterial, variant) -> ModifySingleQubit:
+def _modify_single(params, rng: Random, keys: KeyMaterial, variant: Variant):
     """Resolve a symbolic target against the trial's key layout here, so the
     strategy itself never sees key material."""
     target = params["target"]

@@ -309,22 +309,24 @@ def test_criterion_9_blind_guess_acceptance_exact_oracle():
     )
 
 
-def _guessed_key_acceptance(j: int, r: int) -> Fraction:
+def _guessed_key_acceptance(j: int, message_guess) -> Fraction:
     """Alice's acceptance of the measure-resend receiver impersonator, given
-    j checking slots guessed SHARE (each passes w.p. 1/2) and r message pairs
-    with a measured half (each matches its initial state w.p. 1/2; if every
-    pair matches, the reflect flag rejects)."""
+    j checking slots guessed SHARE (each passes w.p. 1/2) and the guess on
+    the message slots: each of the r pairs with a SHARE (0) half matches its
+    initial state w.p. 1/2, and if every pair matches, the reflect flag
+    rejects."""
+    pairs = zip(message_guess[::2], message_guess[1::2])
+    r = sum(1 for a, b in pairs if not (a and b))
     return Fraction(1, 2**j) * (1 - Fraction(1, 2**r))
 
 
 def _guessed_key_acceptance_exact(n: int) -> Fraction:
-    """Average over the guess on the n/2 message slots: one with j ones there
-    leaves j zeros, j SHARE guesses, for the checking slots, in C(n/2, j)
-    ways out of C(n, n/2)."""
+    """Average over the guess on the n/2 message slots: a guess with j ones
+    there puts the other j of the n/2 zeros, the SHARE guesses, on the
+    checking slots, in C(n/2, j) ways out of C(n, n/2)."""
     total = Fraction(0)
-    for ones in product((0, 1), repeat=n // 2):
-        r = sum(1 for a, b in zip(ones[::2], ones[1::2]) if not (a and b))
-        total += comb(n // 2, sum(ones)) * _guessed_key_acceptance(sum(ones), r)
+    for guess in product((0, 1), repeat=n // 2):
+        total += comb(n // 2, sum(guess)) * _guessed_key_acceptance(sum(guess), guess)
     return total / comb(n, n // 2)
 
 
@@ -339,8 +341,7 @@ def test_criterion_10_guessed_key_acceptance_exact():
     brute = Fraction(0)
     for share in combinations(range(16), 8):
         s, c = deinterleave([int(i not in share) for i in range(16)], keys)
-        r = sum(1 for a, b in zip(s[::2], s[1::2]) if not (a and b))
-        brute += _guessed_key_acceptance(c.count(0), r)
+        brute += _guessed_key_acceptance(c.count(0), s)
     assert brute / comb(16, 8) == exact[16]
 
     trials = 20_000
