@@ -395,6 +395,25 @@ def test_matrix_report_bytes_pinned():
     assert digest.hexdigest() == MATRIX_SHA
 
 
+# One SHA-256 over the exit code, stdout and stderr of `sqdc analytic` for
+# both variants x MATRIX_ATTACKS x n in {3, 16, 64, 4096}; n = 3 and 4096 and
+# reflect_all on randomization exit 2, so their error lines are pinned too.
+ANALYTIC_OUTPUTS_SHA = "798a1d7bfb76375220e0b0916bdb35a8bca5f41d0f4cc9b020c1f782f3591937"
+
+
+def test_analytic_outputs_pinned(capsys):
+    digest = hashlib.sha256()
+    for variant, (attack, params), n in itertools.product(
+        Variant, MATRIX_ATTACKS, (3, 16, 64, 4096)
+    ):
+        argv = ["analytic", "--variant", variant.value, "--attack", attack, "--n", str(n)]
+        argv += [f"--attack-param={k}={v}" for k, v in params.items()]
+        code = main(argv)
+        captured = capsys.readouterr()
+        digest.update(f"{code}|{captured.out}|{captured.err};".encode())
+    assert digest.hexdigest() == ANALYTIC_OUTPUTS_SHA
+
+
 # SHA-256 over every measurement (call and outcome) of an experiment, then
 # over each session's final register components. The report pins above n = 16
 # read saturated detection rates, so they would miss an engine change that
