@@ -24,9 +24,13 @@ from .qsim import Pauli, QuantumRegister
 
 
 class AttackStrategy:
-    """Identity tamper hooks; base class and the honest-channel baseline."""
+    """Identity tamper hooks; base class and the honest-channel baseline.
+    A strategy that draws random choices takes them from `rng`."""
 
     bypasses_bob = False
+
+    def __init__(self, rng: Random | None = None):
+        self.rng = rng
 
     def tamper_forward(self, register: QuantumRegister, qubits):
         return qubits
@@ -42,9 +46,6 @@ class ImpersonateAlice(AttackStrategy):
     the protocol alphabet, interleaved by a guessed k1 drawn as the protocol
     draws one.
     """
-
-    def __init__(self, rng: Random):
-        self.rng = rng
 
     def tamper_forward(self, register, qubits):
         n = len(qubits)
@@ -67,9 +68,6 @@ class ImpersonateBobIdealized(AttackStrategy):
     probability exactly 1/4, giving 1/2 + 1/2 * 1/4 = 5/8 per slot.
     """
 
-    def __init__(self, rng: Random):
-        self.rng = rng
-
     def tamper_backward(self, register, qubits):
         out = []
         for q in qubits:
@@ -89,9 +87,6 @@ class ImpersonateBobConcrete(AttackStrategy):
 
     bypasses_bob = True
 
-    def __init__(self, rng: Random):
-        self.rng = rng
-
     def tamper_backward(self, register, qubits):
         pool = list(qubits)
         _shuffle(pool, self.rng, len(pool) // 2)
@@ -109,9 +104,6 @@ class ImpersonateBobGuessedKey(AttackStrategy):
     E[(1/2)^j (1 - (1/2)^r)]: 619/8580 at n=16."""
 
     bypasses_bob = True
-
-    def __init__(self, rng: Random):
-        self.rng = rng
 
     def tamper_backward(self, register, qubits):
         guess = gen_keys(len(qubits), self.rng, include_k2=False)

@@ -12,13 +12,7 @@ import os
 import sys
 
 from .adversary import ATTACKS
-from .harness import (
-    ConfigError,
-    ExperimentConfig,
-    analytic_detection,
-    emit_report,
-    run_experiment,
-)
+from .harness import ConfigError, ExperimentConfig, emit_report, run_experiment
 from .protocol import Variant
 
 OUTPUT_DIR_ENV = "SQDC_OUTPUT_DIR"
@@ -107,12 +101,11 @@ def main(argv=None) -> int:
             else:
                 sys.stdout.write(text)
         elif args.command == "analytic":
-            prob, formula = analytic_detection(
-                args.attack,
-                Variant(args.variant),
-                args.n,
-                _parse_attack_params(args.attack_param),
-            )
+            # a closed form reads no trial count or seed; 1 and 0 only pass the checks
+            params = _parse_attack_params(args.attack_param)
+            config = ExperimentConfig(Variant(args.variant), args.attack, args.n, 1, 0, params)
+            config.validate()
+            prob, formula = config.analytic()
             if prob is None:
                 print("no closed form for this attack/variant")
             else:

@@ -17,7 +17,7 @@ from math import sqrt
 from random import Random
 
 from . import __version__
-from .adversary import ATTACKS, Attack
+from .adversary import ATTACKS
 from .codec import HASH_NAME, hex_to_bits
 from .keys import KeyMaterial, check_n, gen_keys, random_bits
 from .protocol import DetectionCause, Variant, run_session
@@ -48,29 +48,27 @@ class ExperimentConfig:
             raise ConfigError(f"trials must be an int of at least 1, got {self.trials!r}")
         if type(self.seed) is not int:
             raise ConfigError(f"seed must be an int, got {self.seed!r}")
-        _attack_entry(self.attack, self.variant, self.n, self.attack_params)
+        _checked("", check_n, self.n)
+        if not isinstance(self.attack, str) or self.attack not in ATTACKS:
+            raise ConfigError(f"unknown attack {self.attack!r}")
+        entry = ATTACKS[self.attack]
+        _checked(f"attack {self.attack}", entry.check, self.variant, self.n, self.attack_params)
         if self.message is not None:
-            try:
-                hex_to_bits(self.message, self.n // 8)
-            except ValueError as exc:
-                raise ConfigError(f"message: {exc}") from None
+            _checked("message", hex_to_bits, self.message, self.n // 8)
+
+    def analytic(self):
+        """(probability, formula) of the attack's closed form for this valid
+        configuration, or (None, None) where none is known."""
+        return ATTACKS[self.attack].analytic(self.variant, self.n, self.attack_params)
 
 
-def _attack_entry(attack, variant: Variant, n: int, params) -> Attack:
-    """Check n and the attack's variant and parameters against the catalogue;
-    return the attack's entry."""
+def _checked(field: str, check, *args):
+    """check(*args), with its ValueError raised as ConfigError prefixed by
+    the field at fault, if any."""
     try:
-        check_n(n)
+        return check(*args)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if not isinstance(attack, str) or attack not in ATTACKS:
-        raise ConfigError(f"unknown attack {attack!r}")
-    entry = ATTACKS[attack]
-    try:
-        entry.check(variant, n, params)
-    except ValueError as exc:
-        raise ConfigError(f"attack {attack}: {exc}") from None
-    return entry
+        raise ConfigError(f"{field}: {exc}" if field else str(exc)) from None
 
 
 @dataclass
@@ -101,16 +99,6 @@ def wilson_interval(successes: int, trials: int):
     low = 0.0 if successes == 0 else max(0.0, center - half)
     high = 1.0 if successes == trials else min(1.0, center + half)
     return low, high
-
-
-def analytic_detection(attack: str, variant: Variant, n: int, params: dict | None = None):
-    """Closed-form detection probability where one exists, else (None, None).
-
-    Returns (probability, formula tag). Raises ConfigError on an invalid
-    attack, variant, n or parameter.
-    """
-    params = {} if params is None else params
-    return _attack_entry(attack, variant, n, params).analytic(variant, n, params)
 
 
 def trial_seeds(base_seed: int, index: int) -> tuple[int, int]:
@@ -153,9 +141,7 @@ def run_experiment(config: ExperimentConfig) -> DetectionStats:
 
     t = config.trials
     detections = t - counts[DetectionCause.NONE.value]
-    analytic, formula = ATTACKS[config.attack].analytic(
-        config.variant, config.n, config.attack_params
-    )
+    analytic, formula = config.analytic()
     return DetectionStats(
         trials=t,
         cause_counts=counts,

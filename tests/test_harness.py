@@ -16,7 +16,6 @@ from sqdc.harness import (
     ConfigError,
     DetectionStats,
     ExperimentConfig,
-    analytic_detection,
     emit_report,
     report_dict,
     run_experiment,
@@ -80,39 +79,39 @@ def test_wilson_requires_trials():
 # -- analytic references -------------------------------------------------------------
 
 
+def closed_form(**overrides):
+    config = make_config(**overrides)
+    config.validate()
+    return config.analytic()
+
+
 def test_analytic_pinned_values():
-    assert analytic_detection("intercept_resend", Variant.RANDOMIZATION, 16)[0] == 0.99609375
-    assert analytic_detection("impersonate_bob", Variant.RANDOMIZATION, 16)[0] == pytest.approx(
-        1 - 0.625 ** 8
-    )
-    assert analytic_detection("no_attack", Variant.RANDOMIZATION, 16) == (
-        0.0,
-        "honest runs are never rejected",
-    )
-    assert analytic_detection("no_attack", Variant.MEASURE_RESEND, 16)[0] == 0.0625
-    assert analytic_detection("reflect_all", Variant.MEASURE_RESEND, 16)[0] == 1.0
-    assert analytic_detection(
-        "modify_single", Variant.RANDOMIZATION, 16, {"target": "c"}
-    )[0] == 1.0
+    assert closed_form(attack="intercept_resend")[0] == 0.99609375
+    assert closed_form(attack="impersonate_bob")[0] == pytest.approx(1 - 0.625 ** 8)
+    assert closed_form() == (0.0, "honest runs are never rejected")
+    assert closed_form(variant=Variant.MEASURE_RESEND)[0] == 0.0625
+    assert closed_form(variant=Variant.MEASURE_RESEND, attack="reflect_all")[0] == 1.0
+    assert closed_form(attack="modify_single", attack_params={"target": "c"})[0] == 1.0
 
 
 def test_analytic_no_closed_form():
-    assert analytic_detection("intercept_resend", Variant.MEASURE_RESEND, 16) == (None, None)
-    assert analytic_detection("impersonate_alice", Variant.RANDOMIZATION, 16) == (None, None)
-    assert analytic_detection(
-        "modify_single", Variant.RANDOMIZATION, 32, {"target": "s_msg"}
-    ) == (None, None)
+    assert closed_form(variant=Variant.MEASURE_RESEND, attack="intercept_resend") == (None, None)
+    assert closed_form(attack="impersonate_alice") == (None, None)
+    assert closed_form(n=32, attack="modify_single", attack_params={"target": "s_msg"}) == (
+        None,
+        None,
+    )
 
 
 def test_analytic_unknown_attack():
-    with pytest.raises(ConfigError):
-        analytic_detection("time_travel", Variant.RANDOMIZATION, 16)
-    with pytest.raises(ConfigError):
-        analytic_detection("no_attack", Variant.RANDOMIZATION, 3)
-    with pytest.raises(ConfigError):
-        analytic_detection("reflect_all", Variant.RANDOMIZATION, 16)
-    with pytest.raises(ConfigError):
-        analytic_detection("intercept_resend", Variant.RANDOMIZATION, 16, {"mode": "concrete"})
+    for overrides in (
+        {"attack": "time_travel"},
+        {"n": 3},
+        {"attack": "reflect_all"},  # randomization variant
+        {"attack": "intercept_resend", "attack_params": {"mode": "concrete"}},
+    ):
+        with pytest.raises(ConfigError):
+            closed_form(**overrides)
 
 
 # -- configuration validation ----------------------------------------------------------
