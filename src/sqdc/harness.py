@@ -223,15 +223,26 @@ def emit_report(stats: DetectionStats, output_format: str) -> str:
 #   seed     : int; the attack and register seeds derive from it as for trial 0
 #   attack   : optional attack name (default "no_attack")
 #   attack_params : optional object
-# Any other key is rejected, so nothing a document says is silently ignored.
+# Any other key, and a key repeated in any object, is rejected, so nothing a
+# document says is silently ignored.
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict; a repeated key would drop its earlier value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def load_session_config(text: str) -> tuple[ExperimentConfig, KeyMaterial]:
     """Parse a session document into the (config, keys) that
     `run_trial(config, 0, keys)` runs."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:  # int digit limit and nesting depth too
         raise ConfigError(f"malformed session config: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("session config must be a JSON object")
@@ -255,11 +266,9 @@ def load_session_config(text: str) -> tuple[ExperimentConfig, KeyMaterial]:
     k2 = doc.get("k2")
     if k2 is not None and variant is Variant.MEASURE_RESEND:
         raise ConfigError(f"session config key 'k2' must be null for measure-resend, got {k2!r}")
-    try:
-        k1 = tuple(hex_to_bits(doc["k1"], n))
-        keys = KeyMaterial(k1, tuple(hex_to_bits(k2, n // 2)) if k2 else None)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    k1 = tuple(_checked("k1", hex_to_bits, doc["k1"], n))
+    k2 = tuple(_checked("k2", hex_to_bits, k2, n // 2)) if k2 else None
+    keys = _checked("", KeyMaterial, k1, k2)
     if keys.k2 is None and variant is Variant.RANDOMIZATION:
         raise ConfigError("the randomization variant needs k2")
     return config, keys

@@ -536,6 +536,20 @@ def test_session_from_config_with_attack():
 def test_session_config_parsing_errors():
     with pytest.raises(ConfigError):
         load_session_config("{not json")
+    # past CPython's int digit limit and its recursion limit: not a bare
+    # ValueError or RecursionError
+    for text in ('{"seed": ' + "1" * 4301 + "}", "[" * 100000):
+        with pytest.raises(ConfigError, match="malformed session config"):
+            load_session_config(text)
+    # a repeated key, at the top or nested, would drop its earlier value
+    doc, _ = session_doc()
+    text = json.dumps(doc)[:-1] + ', "variant": "measure-resend"}'
+    with pytest.raises(ConfigError, match="repeated key 'variant'"):
+        load_session_config(text)
+    doc, _ = session_doc(attack="impersonate_bob", attack_params={"mode": "idealized"})
+    text = json.dumps(doc).replace('"idealized"}', '"idealized", "mode": "concrete"}')
+    with pytest.raises(ConfigError, match="repeated key 'mode'"):
+        load_session_config(text)
     with pytest.raises(ConfigError):
         load_session_config(json.dumps({"variant": "randomization", "n": 16}))
     doc, _ = session_doc(variant="teleportation")
@@ -579,6 +593,16 @@ def test_session_config_parsing_errors():
     ):
         doc, _ = session_doc(**overrides)
         with pytest.raises(ConfigError):
+            run_document(doc)
+    # a key error names the key, as a message error does
+    for key, overrides in (
+        ("k1", {"k1": "zzzz"}),
+        ("k1", {"k1": "00ff0"}),
+        ("k2", {"k2": "f"}),
+        ("k2", {"k2": "0f0"}),
+    ):
+        doc, _ = session_doc(**overrides)
+        with pytest.raises(ConfigError, match=f"^{key}: "):
             run_document(doc)
     # what a document says but the run would ignore is rejected by name: an
     # unknown key (this one would run an honest session) and a non-null k2 on

@@ -1,7 +1,8 @@
 """Property tests: no input ends in a traceback.
 
 Every `sqdc` command line ends in exit 0, 2 or 3, and every session document
-either runs or raises `ConfigError`. Hypothesis generates the inputs from a
+either runs or raises `ConfigError`, which one that repeats a key must raise.
+Hypothesis generates the inputs from a
 fixed seed (`derandomize=True`), so a run is reproducible and keeps no
 example database.
 """
@@ -127,11 +128,12 @@ JSON_VALUES = st.recursive(
 
 @st.composite
 def session_documents(draw, setting):
-    """Session document text: a well-formed document for a catalogue setting
-    or, half the time, one whose fields are each kept, dropped or replaced by
-    a near miss or some other JSON value; now and then not an object at all."""
+    """(text, repeats a key) of a session document: a well-formed document
+    for a catalogue setting or, half the time, one whose fields are each
+    kept, dropped or replaced by a near miss or some other JSON value; now
+    and then not an object at all, or with one key written twice."""
     if draw(st.integers(0, 15)) == 15:
-        return draw(st.text(max_size=8) | JSON_VALUES.map(json.dumps))
+        return draw(st.text(max_size=8) | JSON_VALUES.map(json.dumps)), False
     variant, attack, params = setting
     n = draw(SIZES)
     keys = gen_keys(n, Random(draw(st.integers(0, 2**32))))
@@ -160,16 +162,21 @@ def session_documents(draw, setting):
                 doc[key] = draw(JSON_VALUES)
         if draw(st.booleans()):
             doc[draw(st.text(max_size=5))] = draw(JSON_VALUES)
-    return json.dumps(doc)
+    text = json.dumps(doc)
+    if doc and draw(st.integers(0, 7)) == 7:  # a key written twice
+        repeat = f", {json.dumps(draw(st.sampled_from(list(doc))))}: {json.dumps(draw(JSON_VALUES))}"
+        return text[:-1] + repeat + "}", True
+    return text, False
 
 
 @each_setting
 @PROPERTY
 @given(data=st.data())
 def test_every_session_document_runs_or_raises_config_error(setting, data):
-    text = data.draw(session_documents(setting))
+    text, repeats_a_key = data.draw(session_documents(setting))
     try:
         config, keys = load_session_config(text)
     except ConfigError:
         return
+    assert not repeats_a_key, text  # loading would have dropped one of its values
     run_trial(config, 0, keys)
