@@ -1,14 +1,25 @@
 """Rules read off the sources. The package runs on the standard library
 alone: numpy and other packages may be installed where the tests run, so an
 import of one would pass every other test. Only `keys` copies CPython's
-random draws. And every session, of a run or of a document, runs through
-`harness.run_trial`."""
+random draws. Every session, of a run or of a document, runs through
+`harness.run_trial`. And one helper turns a ValueError into a ConfigError."""
 
 import ast
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sqdc"
+
+
+def owners(tree) -> dict:
+    """id of each node -> name of the innermost function around it."""
+    # ast.walk is breadth first, so the innermost function is written last
+    return {
+        id(node): func.name
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+    }
 
 
 def test_package_imports_only_the_standard_library():
@@ -44,6 +55,23 @@ def test_only_keys_copies_the_stdlib_draws():
     assert {user.split(":")[0] for user in users} == {"keys.py"}, users
 
 
+def test_config_errors_are_translated_in_one_place():
+    # `harness._checked` is the one ValueError -> ConfigError translation;
+    # only the document parser, which also reads JSON, keeps handlers of its own.
+    translators = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = owners(tree)
+        for handler in ast.walk(tree):
+            if isinstance(handler, ast.ExceptHandler) and any(
+                isinstance(node, ast.Raise)
+                and "ConfigError" in {getattr(sub, "id", None) for sub in ast.walk(node)}
+                for node in ast.walk(handler)
+            ):
+                translators.append(f"{path.name}::{owner.get(id(handler))}")
+    assert set(translators) == {"harness.py::_checked", "harness.py::load_session_config"}
+
+
 def test_only_keys_walks_k1():
     # `keys.interleave` and `deinterleave` are the one map from k1 bits to
     # positions; a loop over k1 elsewhere would be a second copy of it.
@@ -66,13 +94,7 @@ def test_sessions_run_only_through_run_trial():
     calls = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        # ast.walk is breadth first, so the innermost function names the owner
-        owner = {
-            id(node): func.name
-            for func in ast.walk(tree)
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-            for node in ast.walk(func)
-        }
+        owner = owners(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
