@@ -3,9 +3,9 @@
 Every state these protocols reach is a product of Z-basis qubits and Bell
 pairs. Alice prepares Bell pairs and alone measures in the Bell basis; Bob
 measures in Z, resends basis qubits and reflects; the attacks prepare the
-same states, apply iY and measure in Z. Each of these operations maps such a product to another one (a Bell
-measurement across components is teleportation or entanglement swapping), so
-the family is closed and a register holds it exactly as integer labels, with
+same states, apply iY and measure in Z. Each of these operations maps such a
+product to another one (a Bell measurement across components is
+teleportation or entanglement swapping), so the family is closed and a register holds it exactly as integer labels, with
 no amplitudes and nothing to drift.
 
 A component is an immutable tuple (qubits, label) that its qubits share:

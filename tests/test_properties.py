@@ -2,9 +2,8 @@
 
 Every `sqdc` command line ends in exit 0, 2 or 3, and every session document
 either runs or raises `ConfigError`, which one that repeats a key must raise.
-Hypothesis generates the inputs from a
-fixed seed (`derandomize=True`), so a run is reproducible and keeps no
-example database.
+Hypothesis generates the inputs from a fixed seed (`derandomize=True`), so a
+run is reproducible and keeps no example database.
 """
 
 import io
