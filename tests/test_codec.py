@@ -1,5 +1,6 @@
 """Tests for block construction, checksums, and Bell encoding."""
 
+import hashlib
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -181,3 +182,79 @@ def test_hex_to_bits_too_short():
     assert hex_to_bits("f", 2) == [1, 1]  # the padding bits of the last digit
     with pytest.raises(ValueError):
         bits_to_hex([0, 2])
+
+
+# -- equivalence with the per-bit loops ----------------------------------------
+# The codec once converted bit strings one bit at a time. These loops are that
+# code, kept as the reference the int/format conversions must match.
+
+
+def loop_bits_to_int(bits):
+    value = 0
+    for b in bits:
+        if b not in (0, 1):
+            raise ValueError(f"bits must be 0/1, got {b!r}")
+        value = (value << 1) | b
+    return value
+
+
+def loop_pack_bits(bits):
+    n = len(bits)
+    size = (n + 7) // 8
+    return n.to_bytes(2, "big") + (loop_bits_to_int(bits) << (8 * size - n)).to_bytes(size, "big")
+
+
+def loop_bits_to_hex(bits):
+    pad = (-len(bits)) % 4
+    return format(loop_bits_to_int(bits) << pad, f"0{(len(bits) + pad) // 4}x")
+
+
+def loop_hash_checksum(m):
+    digest = hashlib.sha256(loop_pack_bits(m)).digest()
+    return [(digest[i // 8] >> (7 - i % 8)) & 1 for i in range(len(m))]
+
+
+def loop_hex_to_bits(text, nbits):
+    value = int(text, 16)
+    total = len(text) * 4
+    return [(value >> (total - 1 - i)) & 1 for i in range(nbits)]
+
+
+def test_pack_and_hex_match_loops_for_every_length():
+    rng = Random(13)
+    for length in range(301):
+        bits = [rng.randrange(2) for _ in range(length)]
+        assert pack_bits(bits) == loop_pack_bits(bits)
+        assert pack_bits(tuple(bits)) == loop_pack_bits(bits)
+        text = bits_to_hex(bits)
+        assert text == loop_bits_to_hex(bits)
+        if length:
+            assert hex_to_bits(text, length) == bits
+            # random digits, so the padding bits of the last one are set too
+            text = "".join(rng.choice("0123456789abcdefABCDEF") for _ in text)
+            assert hex_to_bits(text, length) == loop_hex_to_bits(text, length)
+
+
+def test_hash_checksum_matches_loop_for_every_length():
+    rng = Random(14)
+    for L in range(1, MAX_MESSAGE_BITS + 1):
+        m = [rng.randrange(2) for _ in range(L)]
+        checksum = hash_checksum(m)
+        assert checksum == loop_hash_checksum(m)
+        assert all(type(b) is int for b in checksum)
+
+
+def test_invalid_entries_raise_the_loops_error():
+    rng = Random(15)
+    for bad in (2, -1, 256, "1", None, 0.5):
+        for at in (0, 4, 8):
+            bits = [rng.randrange(2) for _ in range(9)]
+            bits[at] = bad
+            # alone, and followed by a later bad entry that is not the one named
+            for case in (bits, bits + [3]):
+                with pytest.raises(ValueError) as expected:
+                    loop_bits_to_int(case)
+                for convert in (pack_bits, bits_to_hex, hash_checksum):
+                    with pytest.raises(ValueError) as got:
+                        convert(case)
+                    assert str(got.value) == str(expected.value) == f"bits must be 0/1, got {bad!r}"

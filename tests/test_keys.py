@@ -7,7 +7,6 @@ from random import Random
 
 import pytest
 
-from sqdc.codec import pack_bits
 from sqdc.keys import (
     KeyMaterial,
     _shuffle,
@@ -199,9 +198,37 @@ def test_permutation_pinned_regression():
     assert permutation_from_key([1, 0, 1, 1, 0, 0, 1, 0]) == (0, 2, 5, 7, 1, 4, 3, 6)
 
 
+def test_permutation_pinned_regression_n256():
+    # a 128-bit k2, as at n = 256; computed with the per-bit packing loop
+    k = [int(c) for c in (
+        "1101011111111110000110000001111010100000111101110111001110111011"
+        "1111011001011001110100011111110111000001011101000001100010001000"
+    )]
+    assert permutation_from_key(k) == (
+        91, 72, 62, 36, 26, 117, 15, 93, 54, 30, 64, 9, 106, 20, 84, 78,
+        21, 4, 100, 101, 89, 24, 71, 88, 126, 10, 81, 119, 57, 85, 60, 107,
+        79, 104, 87, 43, 122, 17, 113, 18, 66, 49, 37, 35, 115, 109, 75, 0,
+        125, 118, 86, 14, 1, 83, 50, 112, 68, 32, 34, 110, 73, 124, 58, 7,
+        42, 108, 16, 127, 45, 63, 92, 56, 25, 28, 82, 98, 69, 55, 61, 46,
+        123, 48, 97, 59, 5, 40, 22, 6, 53, 38, 111, 11, 90, 95, 13, 23,
+        105, 76, 94, 2, 114, 39, 41, 99, 31, 52, 12, 121, 96, 120, 67, 116,
+        3, 65, 77, 74, 29, 8, 47, 80, 102, 70, 103, 19, 51, 27, 44, 33,
+    )
+
+
+def pack_reference(k):
+    """The key packed bit by bit, independently of codec.pack_bits: 16-bit
+    big-endian length, then the bits MSB-first, zero-padded to a byte."""
+    value = 0
+    for b in k:
+        value = (value << 1) | b
+    size = (len(k) + 7) // 8
+    return len(k).to_bytes(2, "big") + (value << (8 * size - len(k))).to_bytes(size, "big")
+
+
 def fisher_yates_reference(k, length):
     """The explicit Fisher-Yates loop that permutation_from_key replaced."""
-    seed = int.from_bytes(hashlib.sha256(pack_bits(list(k))).digest()[:8], "big")
+    seed = int.from_bytes(hashlib.sha256(pack_reference(k)).digest()[:8], "big")
     rng = Random(seed)
     mapping = list(range(length))
     for i in range(length - 1, 0, -1):
