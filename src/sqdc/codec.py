@@ -4,6 +4,8 @@ A message m of n/8 bits is extended to the block M = m || checksum(m), where
 the checksum is a truncated SHA-256 digest of the same length as m. Each block
 bit is carried by one Bell pair: 0 -> Phi+, 1 -> Psi-. The receiver recovers a
 block bit as the XOR of the two Z-measurement outcomes of the pair.
+A bit string crosses to bytes and back as one integer, rendered in base 2 by
+`int` and `bin`, so no conversion loops over the bits in Python.
 Nothing here is random: `keys.random_bits` draws a random message.
 """
 
@@ -20,6 +22,11 @@ MAX_MESSAGE_BITS = 256
 
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
+# Bytes 0 and 1 become the digits "0" and "1"; every other byte becomes "x",
+# which int(..., 2) rejects. The reverse table reads the digits back as bits.
+_BIT_DIGITS = b"01" + b"x" * 254
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
 # The two Bell states that carry a bit, indexed by the bit. Alice's checking
 # pairs and an impersonator's forgeries are drawn uniformly from it too.
 ALPHABET = (BellState.PHI_PLUS, BellState.PSI_MINUS)
@@ -27,12 +34,20 @@ ALPHABET = (BellState.PHI_PLUS, BellState.PSI_MINUS)
 
 def _bits_to_int(bits) -> int:
     """The bits read MSB-first as one integer."""
-    value = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"bits must be 0/1, got {b!r}")
-        value = (value << 1) | b
-    return value
+    try:
+        return int(bytes(bits).translate(_BIT_DIGITS) or b"0", 2)
+    except (TypeError, ValueError):
+        # name the first entry outside {0, 1}
+        for b in bits:
+            if b not in (0, 1):
+                raise ValueError(f"bits must be 0/1, got {b!r}") from None
+        raise
+
+
+def _int_to_bits(value: int, nbits: int):
+    """The nbits of value < 2**nbits, MSB-first, as a list of 0/1."""
+    # a set bit above them keeps the leading zeros; [3:] drops it and "0b"
+    return list(bin(value | (1 << nbits))[3:].encode().translate(_DIGIT_BITS))
 
 
 def pack_bits(bits) -> bytes:
@@ -51,7 +66,7 @@ def hash_checksum(m):
     if not 0 < L <= MAX_MESSAGE_BITS:
         raise ValueError(f"message must have 1..{MAX_MESSAGE_BITS} bits, got {L}")
     digest = hashlib.sha256(pack_bits(m)).digest()
-    return [(digest[i // 8] >> (7 - i % 8)) & 1 for i in range(L)]
+    return _int_to_bits(int.from_bytes(digest, "big") >> (256 - L), L)
 
 
 def build_block(m):
@@ -88,6 +103,4 @@ def hex_to_bits(text: str, nbits: int):
     digits = -(-nbits // 4)
     if len(text) != digits:
         raise ValueError(f"need {digits} hex digits for {nbits} bits, got {len(text)}")
-    value = int(text, 16)
-    total = len(text) * 4
-    return [(value >> (total - 1 - i)) & 1 for i in range(nbits)]
+    return _int_to_bits(int(text, 16) >> (4 * digits - nbits), nbits)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import xor
 
 from .codec import ALPHABET, build_block, verify_block
 from .keys import (
@@ -175,7 +176,7 @@ def _decode_block(results):
     """Decode Bob's Z outcomes pairwise into block bits (each the XOR of its
     pair's outcomes) and verify the checksum. Returns (verdict, decoded
     message)."""
-    return verify_block([a ^ b for a, b in zip(results[::2], results[1::2])])
+    return verify_block(list(map(xor, results[::2], results[1::2])))
 
 
 # -- orchestration -------------------------------------------------------------
