@@ -186,7 +186,7 @@ def test_hex_to_bits_too_short():
 
 # -- equivalence with the per-bit loops ----------------------------------------
 # The codec once converted bit strings one bit at a time. These loops are that
-# code, kept as the reference the int/format conversions must match.
+# code, kept as the reference the int/bin conversions must match.
 
 
 def loop_bits_to_int(bits):

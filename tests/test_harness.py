@@ -850,8 +850,7 @@ def test_cli_list_attacks(capsys):
 def test_readme_session_documents_load_and_run():
     # every JSON example under "Single-session documents" loads and runs
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("### Single-session documents", 1)[1].split("\n## ", 1)[0]
-    section = section.split("\n### ", 1)[0]
+    section = readme.split("### Single-session documents", 1)[1].split("\n#", 1)[0]
     examples = [block.split("\n```", 1)[0] for block in section.split("```json\n")[1:]]
     assert examples
     for text in examples:

@@ -18,6 +18,7 @@ from sqdc.keys import (
     permutation_from_key,
     random_bits,
 )
+from test_codec import loop_pack_bits
 
 
 # -- generation -----------------------------------------------------------------
@@ -216,19 +217,10 @@ def test_permutation_pinned_regression_n256():
     )
 
 
-def pack_reference(k):
-    """The key packed bit by bit, independently of codec.pack_bits: 16-bit
-    big-endian length, then the bits MSB-first, zero-padded to a byte."""
-    value = 0
-    for b in k:
-        value = (value << 1) | b
-    size = (len(k) + 7) // 8
-    return len(k).to_bytes(2, "big") + (value << (8 * size - len(k))).to_bytes(size, "big")
-
-
 def fisher_yates_reference(k, length):
     """The explicit Fisher-Yates loop that permutation_from_key replaced."""
-    seed = int.from_bytes(hashlib.sha256(pack_reference(k)).digest()[:8], "big")
+    # packed bit by bit, so a wrong codec.pack_bits cannot pass unseen
+    seed = int.from_bytes(hashlib.sha256(loop_pack_bits(k)).digest()[:8], "big")
     rng = Random(seed)
     mapping = list(range(length))
     for i in range(length - 1, 0, -1):
