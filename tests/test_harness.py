@@ -452,6 +452,18 @@ ENGINE_STREAMS = [
         ),
         "7ae2001b8cbfe44acb0bdeb8dcae60a2cb6e6e14076200eb72dacc0a651ffdb6",
     ),
+    (
+        dict(attack="impersonate_alice", n=64, trials=40, seed=37),
+        "3ba3a78ade01b3ea9ea59ad3f18f622639fab7c391babbe4df5d7c874ad51929",
+    ),
+    (
+        dict(variant=Variant.MEASURE_RESEND, attack="impersonate_alice", n=64, trials=40, seed=41),
+        "7ffd452227fcf788f3afa3efd28a7bc77ab3707eb9a875b3073ee15d97def7e3",
+    ),
+    (
+        dict(n=256, trials=20, seed=43),
+        "e0eafa2df65bcbb7b69bcd9cef913dd04cbf2e4338c827b76caca416b8aafb98",
+    ),
 ]
 
 
@@ -460,7 +472,8 @@ ENGINE_STREAMS = [
     ENGINE_STREAMS,
     ids=[
         "intercept-n64", "idealized-bob-n64", "measure-resend-n256", "concrete-bob-n64",
-        "modify-c-n64", "measure-resend-modify-random-n64",
+        "modify-c-n64", "measure-resend-modify-random-n64", "impersonate-alice-n64",
+        "measure-resend-impersonate-alice-n64", "honest-n256",
     ],
 )
 def test_engine_stream_pinned(monkeypatch, overrides, expected):
