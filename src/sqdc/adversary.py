@@ -49,13 +49,11 @@ class ImpersonateAlice(AttackStrategy):
 
     def tamper_forward(self, register, qubits):
         n = len(qubits)
-        fake_s = []
-        for _ in range(n // 4):
-            fake_s.extend(register.prepare_bell(ALPHABET[self.rng.random() >= 0.5]))
-        fake_cb = [  # Eve keeps each checking pair's partner
-            register.prepare_bell(ALPHABET[self.rng.random() >= 0.5])[0] for _ in range(n // 2)
-        ]
-        return interleave(fake_s, fake_cb, gen_keys(n, self.rng, include_k2=False))
+        random = self.rng.random
+        fake_s = register.prepare_bell(*[ALPHABET[random() >= 0.5] for _ in range(n // 4)])
+        fake_c = register.prepare_bell(*[ALPHABET[random() >= 0.5] for _ in range(n // 2)])
+        # Eve keeps each checking pair's partner
+        return interleave(fake_s, fake_c[::2], gen_keys(n, self.rng, include_k2=False))
 
 
 class ImpersonateBobIdealized(AttackStrategy):
@@ -115,7 +113,7 @@ class InterceptResend(AttackStrategy):
     in the observed basis states."""
 
     def tamper_forward(self, register, qubits):
-        return [register.alloc_qubit(register.measure_z(q)) for q in qubits]
+        return [register.alloc_qubit(b) for b in register.measure_z(*qubits)]
 
 
 class ModifySingleQubit(AttackStrategy):

@@ -75,22 +75,14 @@ def alice_prepare(m, keys: KeyMaterial, register: QuantumRegister, variant: Vari
     if variant is Variant.RANDOMIZATION and keys.k2 is None:
         raise ValueError("randomization variant requires k2")
 
-    prepare_bell = register.prepare_bell
-    random = register.rng.random
     block = build_block(m)  # n/4 bits
-    s_seq = []
-    for bit in block:
-        s_seq.extend(prepare_bell(ALPHABET[bit]))
-
-    c_pairs = []
-    cb_seq = []
-    for _ in range(n // 2):
-        state = ALPHABET[random() >= 0.5]
-        qc1, qc2 = prepare_bell(state)
-        c_pairs.append((qc1, state))
-        cb_seq.append(qc2)
-
-    return AliceSession(keys, block, c_pairs), interleave(s_seq, cb_seq, keys)
+    s_seq = register.prepare_bell(*[ALPHABET[bit] for bit in block])
+    # preparing draws nothing, so drawing every checking state first keeps the stream
+    random = register.rng.random
+    c_states = [ALPHABET[random() >= 0.5] for _ in range(n // 2)]
+    c_seq = register.prepare_bell(*c_states)
+    c_pairs = list(zip(c_seq[::2], c_states))
+    return AliceSession(keys, block, c_pairs), interleave(s_seq, c_seq[1::2], keys)
 
 
 # -- randomization-based variant --------------------------------------------
@@ -102,8 +94,7 @@ def bob_randomization_step2(q_seq, keys: KeyMaterial, register: QuantumRegister)
     Returns (verdict, decoded message, checking qubits in k1 order).
     """
     s_qubits, cb_qubits = deinterleave(q_seq, keys)
-    measure_z = register.measure_z
-    ok, m_decoded = _decode_block([measure_z(q) for q in s_qubits])
+    ok, m_decoded = _decode_block(register.measure_z(*s_qubits))
     return ok, m_decoded, cb_qubits
 
 
@@ -134,8 +125,7 @@ def bob_measure_resend_step23(q_seq, keys: KeyMaterial, register: QuantumRegiste
     Returns (verdict, decoded message, returned sequence of length n).
     """
     s_qubits, cb_qubits = deinterleave(q_seq, keys)
-    measure_z = register.measure_z
-    results = [measure_z(q) for q in s_qubits]
+    results = register.measure_z(*s_qubits)
     ok, m_decoded = _decode_block(results)
     alloc_qubit = register.alloc_qubit
     return ok, m_decoded, interleave([alloc_qubit(b) for b in results], cb_qubits, keys)

@@ -5,8 +5,11 @@ pairs. Alice prepares Bell pairs and alone measures in the Bell basis; Bob
 measures in Z, resends basis qubits and reflects; the attacks prepare the
 same states, apply iY and measure in Z. Each of these operations maps such a
 product to another one (a Bell measurement across components is
-teleportation or entanglement swapping), so the family is closed and a register holds it exactly as integer labels, with
-no amplitudes and nothing to drift.
+teleportation or entanglement swapping), so the family is closed and a
+register holds it exactly as integer labels, with no amplitudes and nothing
+to drift. Pair allocation and Z measurement take whole sequences, element by
+element in order; such a call equals successive one-element calls, since
+allocating draws nothing and each measurement draws one uniform.
 
 A component is an immutable tuple (qubits, label) that its qubits share:
 - one qubit in |label>, or
@@ -96,35 +99,43 @@ class QuantumRegister:
         self._comp_of[q] = ((q,), int(bit))
         return q
 
-    def prepare_bell(self, bs: BellState) -> tuple[int, int]:
-        """Allocate a fresh pair of qubits in the given Bell state."""
-        qa = self._next_id
-        qb = qa + 1
-        self._next_id = qa + 2
-        # tuple.index compares by identity first, unlike hashing the enum
-        self._comp_of[qa] = self._comp_of[qb] = ((qa, qb), BELL_ORDER.index(bs))
-        return qa, qb
+    def prepare_bell(self, *states: BellState) -> tuple[int, ...]:
+        """Allocate one fresh pair per state, in order, and return the flat
+        tuple (qa0, qb0, qa1, qb1, ...). Every state is checked before any
+        qubit is allocated."""
+        # tuple.index compares by identity first, unlike hashing the enum, and
+        # raises ValueError on a non-BellState
+        labels = [BELL_ORDER.index(bs) for bs in states]
+        first = self._next_id
+        self._next_id = end = first + 2 * len(labels)
+        comp_of = self._comp_of
+        for qa, label in zip(range(first, end, 2), labels):
+            comp_of[qa] = comp_of[qa + 1] = ((qa, qa + 1), label)
+        return tuple(range(first, end))
 
     # -- measurement -----------------------------------------------------
 
-    def measure_z(self, q: int) -> int:
-        """Measure one qubit in the computational basis with Born-rule collapse.
-
-        The measured qubit becomes a basis qubit. A Bell partner is left in
-        the basis state its Z parity x fixes: outcome ^ x.
-        """
-        try:
-            qubits, label = self._comp_of[q]
-        except KeyError:
-            raise ValueError(f"unknown qubit id {q!r}") from None
-        u = self.rng.random()
-        if len(qubits) == 1:  # |label> is certain
-            return label
-        outcome = 0 if u < 0.5 else 1
-        partner = qubits[1] if qubits[0] == q else qubits[0]
-        self._comp_of[q] = ((q,), outcome)
-        self._comp_of[partner] = ((partner,), outcome ^ (label >> 1))
-        return outcome
+    def measure_z(self, *qubits: int) -> tuple[int, ...]:
+        """Measure qubits in the computational basis, in the order given, with
+        Born-rule collapse; one outcome and one uniform draw per qubit. A
+        measured qubit becomes a basis qubit, and a Bell partner is left in
+        the basis state its Z parity x fixes: outcome ^ x."""
+        comp_of = self._comp_of
+        random = self.rng.random
+        outcomes = []
+        for q in qubits:
+            try:
+                members, label = comp_of[q]
+            except KeyError:
+                raise ValueError(f"unknown qubit id {q!r}") from None
+            u = random()
+            if len(members) == 2:  # else a basis qubit, certain to read label
+                partner = members[1] if members[0] == q else members[0]
+                x, label = label >> 1, 0 if u < 0.5 else 1
+                comp_of[q] = ((q,), label)
+                comp_of[partner] = ((partner,), label ^ x)
+            outcomes.append(label)
+        return tuple(outcomes)
 
     def bell_probabilities(self, qa: int, qb: int) -> dict[BellState, float]:
         """Outcome probabilities of a joint Bell measurement, without measuring.

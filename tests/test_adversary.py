@@ -59,8 +59,9 @@ def test_intercept_resend_forwards_fresh_qubits():
             # a basis qubit |b>: its Z outcome is b, and measuring repeats it
             qubits, amps = register.component_snapshot(q)
             assert qubits == (q,) and amps in ((1, 0), (0, 1))
-            bits.append(register.measure_z(q))
-            assert bits[-1] == amps.index(1) == register.measure_z(q)
+            (b,) = register.measure_z(q)
+            assert b == amps.index(1) and register.measure_z(q) == (b,)
+            bits.append(b)
         assert bits[0] == bits[1]  # Phi+ is correlated in Z
         seen.add(bits[0])
     assert seen == {0, 1}

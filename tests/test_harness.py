@@ -479,14 +479,20 @@ ENGINE_STREAMS = [
 def test_engine_stream_pinned(monkeypatch, overrides, expected):
     digest = hashlib.sha256()
     registers = []
-    for name in ("measure_z", "bell_measure"):
 
-        def recorded(self, *args, _method=getattr(QuantumRegister, name)):
-            outcome = _method(self, *args)
-            digest.update(f"{_method.__name__} {args} {outcome};".encode())
-            return outcome
+    def measure_z(self, *qubits, _method=QuantumRegister.measure_z):
+        outcomes = _method(self, *qubits)
+        for q, o in zip(qubits, outcomes):  # one entry per qubit, as successive calls
+            digest.update(f"measure_z {(q,)} {o};".encode())
+        return outcomes
 
-        monkeypatch.setattr(QuantumRegister, name, recorded)
+    def bell_measure(self, *args, _method=QuantumRegister.bell_measure):
+        outcome = _method(self, *args)
+        digest.update(f"bell_measure {args} {outcome};".encode())
+        return outcome
+
+    monkeypatch.setattr(QuantumRegister, "measure_z", measure_z)
+    monkeypatch.setattr(QuantumRegister, "bell_measure", bell_measure)
 
     def kept(self, seed, _init=QuantumRegister.__init__):
         _init(self, seed)

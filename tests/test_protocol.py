@@ -106,7 +106,7 @@ def test_modify_one_s_qubit_flips_exactly_one_block_bit():
         j = rng.randrange(len(s_positions))
         register.apply_pauli(q_seq[s_positions[j]], Pauli.IY)
         s_qubits, _ = deinterleave(q_seq, keys)
-        results = [register.measure_z(q) for q in s_qubits]
+        results = register.measure_z(*s_qubits)
         block = [results[2 * i] ^ results[2 * i + 1] for i in range(8)]
         diff = [i for i in range(8) if block[i] != session.block[i]]
         assert diff == [j // 2]

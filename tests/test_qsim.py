@@ -47,7 +47,7 @@ def test_alloc_then_measure_is_deterministic():
     for b in (0, 1):
         for _ in range(50):
             q = reg.alloc_qubit(b)
-            assert reg.measure_z(q) == b
+            assert reg.measure_z(q) == (b,)
 
 
 def test_prepare_phi_plus_amplitudes():
@@ -102,7 +102,7 @@ def test_born_statistics_on_bell_half():
     trials = 100_000
     for _ in range(trials):
         qa, _ = reg.prepare_bell(BellState.PHI_PLUS)
-        if reg.measure_z(qa) == 0:
+        if reg.measure_z(qa) == (0,):
             zeros += 1
         if len(reg.live_qubits()) > 4000:
             reg = QuantumRegister(reg.rng.getrandbits(32))
@@ -112,7 +112,7 @@ def test_born_statistics_on_bell_half():
 def test_measurement_splits_component():
     reg = QuantumRegister(0)
     qa, qb = reg.prepare_bell(BellState.PHI_PLUS)
-    b = reg.measure_z(qa)
+    (b,) = reg.measure_z(qa)
     qubits_a, amps_a = reg.component_snapshot(qa)
     qubits_b, amps_b = reg.component_snapshot(qb)
     assert qubits_a == (qa,) and qubits_b == (qb,)
@@ -123,8 +123,11 @@ def test_measurement_splits_component():
 
 def test_measure_unknown_qubit():
     reg = QuantumRegister(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown qubit id 99"):
         reg.measure_z(99)
+    reg.prepare_bell(BellState.PHI_PLUS)
+    with pytest.raises(ValueError, match="unknown qubit id 99"):
+        reg.measure_z(0, 99, 1)
 
 
 # -- Bell measurement ----------------------------------------------------------
@@ -329,7 +332,7 @@ def test_iy_on_one():
     reg = QuantumRegister(0)
     q = reg.alloc_qubit(1)
     reg.apply_pauli(q, Pauli.IY)
-    assert reg.measure_z(q) == 0
+    assert reg.measure_z(q) == (0,)
 
 
 def test_iy_on_zero_reads_one_up_to_global_phase():
@@ -339,14 +342,14 @@ def test_iy_on_zero_reads_one_up_to_global_phase():
     reg.apply_pauli(q, Pauli.IY)
     _, amps = reg.component_snapshot(q)
     assert states_equal(amps, [0, -1])
-    assert reg.measure_z(q) == 1
+    assert reg.measure_z(q) == (1,)
 
 
 def test_x_flips_basis_state():
     reg = QuantumRegister(0)
     q = reg.alloc_qubit(0)
     reg.apply_pauli(q, Pauli.X)
-    assert reg.measure_z(q) == 1
+    assert reg.measure_z(q) == (1,)
 
 
 def test_z_leaves_zero_unchanged():
@@ -462,7 +465,8 @@ def run_scripted_comparison(seed, script_rng, steps=20, max_qubits=8):
             live.extend(pair)
         elif op == "mz":
             q = script_rng.choice(live)
-            assert eng.measure_z(q) == orc.measure_z(q)
+            (b,) = eng.measure_z(q)
+            assert b == orc.measure_z(q)
         elif op == "pauli":
             q = script_rng.choice(live)
             p = script_rng.choice(list(Pauli))
@@ -483,3 +487,52 @@ def test_oracle_equivalence_smoke():
     for trial in range(25):
         worst = max(worst, run_scripted_comparison(trial, Random(5000 + trial)))
     assert worst < 1e-9
+
+
+# -- sequence calls --------------------------------------------------------------
+
+
+def test_sequence_calls_equal_successive_calls():
+    """prepare_bell and measure_z given 0-4 elements leave the outcomes,
+    components and stream of one-element calls on a twin register, and agree
+    with the dense oracle called per element."""
+    for seed in range(60):
+        script = Random(9000 + seed)
+        seq, one, orc = QuantumRegister(seed), QuantumRegister(seed), DenseRegister(seed)
+        live = []
+        for _ in range(8):
+            k = script.randrange(5)
+            if not live or (len(live) + 2 * k <= 12 and script.random() < 0.5):
+                states = [script.choice(BELL_ORDER) for _ in range(k)]
+                pairs = seq.prepare_bell(*states)
+                assert pairs == tuple(q for bs in states for q in one.prepare_bell(bs))
+                assert pairs == tuple(q for bs in states for q in orc.prepare_bell(bs))
+                live.extend(pairs)
+            else:  # with repeats, and partners measured within one call
+                qubits = [script.choice(live) for _ in range(k)]
+                outcomes = seq.measure_z(*qubits)
+                assert outcomes == tuple(b for q in qubits for b in one.measure_z(q))
+                assert outcomes == tuple(orc.measure_z(q) for q in qubits)
+            assert states_equal(engine_state(seq, orc.qubits), orc.amps)
+        assert seq.live_qubits() == one.live_qubits()
+        assert [seq.component_snapshot(q) for q in seq.live_qubits()] == [
+            one.component_snapshot(q) for q in one.live_qubits()
+        ]
+        assert seq.rng.getstate() == one.rng.getstate()
+
+
+def test_empty_sequence_calls_draw_nothing():
+    reg = QuantumRegister(5)
+    reg.prepare_bell(BellState.PSI_MINUS)
+    state = reg.rng.getstate()
+    assert reg.prepare_bell() == () and reg.measure_z() == ()
+    assert reg.rng.getstate() == state
+    assert reg.live_qubits() == [0, 1] and reg.prepare_bell(BellState.PHI_PLUS) == (2, 3)
+
+
+def test_bad_state_in_sequence_allocates_nothing():
+    reg = QuantumRegister(5)
+    reg.prepare_bell(BellState.PSI_MINUS)
+    with pytest.raises(ValueError):
+        reg.prepare_bell(BellState.PHI_PLUS, "phi+", BellState.PSI_PLUS)
+    assert reg._next_id == 2 and reg.live_qubits() == [0, 1]
