@@ -49,11 +49,10 @@ class ImpersonateAlice(AttackStrategy):
 
     def tamper_forward(self, register, qubits):
         n = len(qubits)
-        random = self.rng.random
-        fake_s = register.prepare_bell(*[ALPHABET[random() >= 0.5] for _ in range(n // 4)])
-        fake_c = register.prepare_bell(*[ALPHABET[random() >= 0.5] for _ in range(n // 2)])
-        # Eve keeps each checking pair's partner
-        return interleave(fake_s, fake_c[::2], gen_keys(n, self.rng, include_k2=False))
+        random = self.rng.random  # n/4 message pairs, then n/2 checking pairs
+        fake = register.prepare_bell(*[ALPHABET[random() >= 0.5] for _ in range(3 * n // 4)])
+        fake_s, fake_cb = fake[: n // 2], fake[n // 2 :: 2]  # Eve keeps each partner
+        return interleave(fake_s, fake_cb, gen_keys(n, self.rng, include_k2=False))
 
 
 class ImpersonateBobIdealized(AttackStrategy):

@@ -76,13 +76,14 @@ def alice_prepare(m, keys: KeyMaterial, register: QuantumRegister, variant: Vari
         raise ValueError("randomization variant requires k2")
 
     block = build_block(m)  # n/4 bits
-    s_seq = register.prepare_bell(*[ALPHABET[bit] for bit in block])
-    # preparing draws nothing, so drawing every checking state first keeps the stream
+    # allocating draws nothing, so drawing the checking states first keeps the
+    # stream, and one register call prepares the message and checking pairs
     random = register.rng.random
     c_states = [ALPHABET[random() >= 0.5] for _ in range(n // 2)]
-    c_seq = register.prepare_bell(*c_states)
-    c_pairs = list(zip(c_seq[::2], c_states))
-    return AliceSession(keys, block, c_pairs), interleave(s_seq, c_seq[1::2], keys)
+    qubits = register.prepare_bell(*[ALPHABET[bit] for bit in block], *c_states)
+    c_pairs = list(zip(qubits[n // 2 :: 2], c_states))
+    s_seq, cb_seq = qubits[: n // 2], qubits[n // 2 + 1 :: 2]
+    return AliceSession(keys, block, c_pairs), interleave(s_seq, cb_seq, keys)
 
 
 # -- randomization-based variant --------------------------------------------

@@ -105,12 +105,13 @@ class QuantumRegister:
         qubit is allocated."""
         # tuple.index compares by identity first, unlike hashing the enum, and
         # raises ValueError on a non-BellState
-        labels = [BELL_ORDER.index(bs) for bs in states]
-        first = self._next_id
+        labels = list(map(BELL_ORDER.index, states))
+        first = qa = self._next_id
         self._next_id = end = first + 2 * len(labels)
         comp_of = self._comp_of
-        for qa, label in zip(range(first, end, 2), labels):
+        for label in labels:
             comp_of[qa] = comp_of[qa + 1] = ((qa, qa + 1), label)
+            qa += 2
         return tuple(range(first, end))
 
     # -- measurement -----------------------------------------------------
