@@ -19,7 +19,9 @@ simulator does not keep (Aaronson & Gottesman, PRA 70, 052328, 2004): iY|0>
 reads |1>, and a Pauli changes a pair's label the same way on either half. A
 change binds a new tuple to every qubit the component lists.
 
-Amplitude vectors are built only by `component_snapshot`, for inspection.
+`bell_measure` alone states the Bell-outcome law; `bell_probabilities` reads
+it off by measuring the two components at the midpoint of each quarter of u.
+`component_snapshot`, for inspection, reads amplitude vectors from a table.
 Within a component the first qubit owns the most significant index bit.
 """
 
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 from enum import Enum
 from random import Random
+from types import SimpleNamespace
 
 _INV_SQRT2 = 2 ** -0.5
 
@@ -53,9 +56,10 @@ BELL_AMPLITUDES = {
 }
 
 # Fixed outcome order; index 2x + z is the state (I ⊗ X^x Z^z)|Φ+>. A Bell
-# outcome is read off one uniform in closed form, which equals the inverse CDF
-# over this order because every weight is 0, 1/4, 1/2 or 1, so an external
-# oracle sampling that inverse CDF replays the same outcomes from one stream.
+# outcome is read off one uniform u in closed form, a step function of u with
+# steps at multiples of 1/4, so every weight is 0, 1/4, 1/2 or 1 and the
+# outcome equals the inverse CDF over this order: an external oracle sampling
+# that inverse CDF replays the same outcomes from one stream.
 BELL_ORDER = (
     BellState.PHI_PLUS,
     BellState.PHI_MINUS,
@@ -66,13 +70,11 @@ BELL_ORDER = (
 # Each operator as Z^pz X^px, as (px, pz); iY = ZX maps |0> -> -|1>, |1> -> |0>.
 _PAULI_XZ = {Pauli.X: (1, 0), Pauli.Z: (0, 1), Pauli.IY: (1, 1)}
 
-# Bell outcome weights over BELL_ORDER; all are exact binary fractions.
-# bell_measure mirrors these three cases in closed form, and
-# tests/test_qsim.py::test_bell_measure_closed_form_at_boundaries ties the two
-# together: a change to one must update the other.
-_CERTAIN = tuple(tuple(float(i == j) for j in range(4)) for i in range(4))
-_BASIS_PAIR = ((0.5, 0.5, 0.0, 0.0), (0.0, 0.0, 0.5, 0.5))  # by X parity a ^ b
-_UNIFORM = (0.25, 0.25, 0.25, 0.25)
+# Snapshot amplitudes by component size, then label.
+_SNAPSHOTS = {
+    1: ((1 + 0j, 0j), (0j, 1 + 0j)),
+    2: tuple(tuple(complex(a) for a in BELL_AMPLITUDES[bs]) for bs in BELL_ORDER),
+}
 
 
 class QuantumRegister:
@@ -141,21 +143,19 @@ class QuantumRegister:
     def bell_probabilities(self, qa: int, qb: int) -> dict[BellState, float]:
         """Outcome probabilities of a joint Bell measurement, without measuring.
 
-        One pair is its own eigenstate. Two basis qubits |ab> have X parity
-        a ^ b and an even split over the Z phase. Otherwise a measured qubit
-        has its partner outside the measurement, so every outcome has 1/4.
+        bell_measure's outcome is a step function of its uniform u with steps
+        at multiples of 1/4, so measuring a scratch register holding just the
+        two components at each quarter's midpoint gives each outcome weight
+        1/4 exactly. It draws nothing, changes no component, and raises the
+        ValueErrors bell_measure raises.
         """
-        if qa == qb:
-            raise ValueError("bell measurement needs two distinct qubits")
-        ca = self._component(qa)
-        cb = self._component(qb)
-        if ca is cb:
-            weights = _CERTAIN[ca[1]]
-        elif len(ca[0]) == len(cb[0]) == 1:
-            weights = _BASIS_PAIR[ca[1] ^ cb[1]]
-        else:
-            weights = _UNIFORM
-        return dict(zip(BELL_ORDER, weights))
+        scratch = QuantumRegister()
+        scratch.rng = SimpleNamespace(random=iter((0.125, 0.375, 0.625, 0.875)).__next__)
+        weights = dict.fromkeys(BELL_ORDER, 0.0)
+        for _ in range(4):
+            scratch._comp_of = {q: self._comp_of[q] for q in (qa, qb) if q in self._comp_of}
+            weights[scratch.bell_measure(qa, qb)] += 0.25
+        return weights
 
     def bell_measure(self, qa: int, qb: int) -> BellState:
         """Jointly measure two qubits in the Bell basis with collapse.
@@ -219,9 +219,7 @@ class QuantumRegister:
     def component_snapshot(self, q: int) -> tuple[tuple[int, ...], tuple[complex, ...]]:
         """The qubits of the component containing q and its amplitude vector."""
         qubits, label = self._component(q)
-        if len(qubits) == 1:
-            return qubits, ((1 + 0j, 0j) if label == 0 else (0j, 1 + 0j))
-        return qubits, tuple(complex(a) for a in BELL_AMPLITUDES[BELL_ORDER[label]])
+        return qubits, _SNAPSHOTS[len(qubits)][label]
 
     def live_qubits(self) -> list[int]:
         return sorted(self._comp_of)

@@ -274,17 +274,30 @@ def bell_boundary_setups():
 
 
 def test_bell_measure_closed_form_at_boundaries():
-    # the outcome read off u must be the inverse CDF over bell_probabilities,
-    # right at and just below each multiple of 1/4, and leave the partners as
-    # the dense oracle's projection onto that outcome does
+    # bell_probabilities, read off bell_measure, must equal the dense oracle's
+    # weights without drawing or changing a component; the outcome read off u
+    # must be the inverse CDF over them, right at and just below each multiple
+    # of 1/4, and leave the partners as the oracle's projection onto it does
     for setup in bell_boundary_setups():
         for u in BOUNDARY_US:
             eng = QuantumRegister()
             orc = DenseRegister(0)
             qa, qb = setup(eng)
             assert setup(orc) == (qa, qb)
+            state = eng.rng.getstate()
+            snapshots = [eng.component_snapshot(q) for q in eng.live_qubits()]
+            probs = eng.bell_probabilities(qa, qb)
+            reference = orc.bell_probabilities(qa, qb)
+            assert list(probs) == list(BELL_ORDER)
+            assert all(abs(probs[bs] - reference[bs]) < 1e-12 for bs in BELL_ORDER), (qa, qb)
+            assert eng.rng.getstate() == state
+            assert [eng.component_snapshot(q) for q in eng.live_qubits()] == snapshots
+            unknown = eng._next_id
+            for bad, message in (((qa, qa), "distinct"), ((qa, unknown), f"id {unknown}$")):
+                with pytest.raises(ValueError, match=message):
+                    eng.bell_probabilities(*bad)
             acc, expected = 0.0, None
-            for bs, p in eng.bell_probabilities(qa, qb).items():
+            for bs, p in probs.items():
                 acc += p
                 if expected is None and u < acc:
                     expected = bs
