@@ -13,7 +13,7 @@ belong to the experiment harness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from operator import xor
 
@@ -56,7 +56,7 @@ class RunOutcome:
     decoded_message: list[int] | None
     detection_cause: DetectionCause
     security_event: bool
-    check_matches: list[bool] = field(default_factory=list)
+    check_matches: list[bool]
 
     @property
     def detected(self) -> bool:
