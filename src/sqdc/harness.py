@@ -12,7 +12,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import sqrt
 from random import Random
 
@@ -159,7 +159,11 @@ def run_experiment(config: ExperimentConfig) -> DetectionStats:
 # -- reporting ---------------------------------------------------------------
 
 def report_dict(stats: DetectionStats) -> dict:
+    """The report of a run; its results block lists the DetectionStats
+    fields in declaration order, all but config, as JSON types."""
     cfg = stats.config
+    results = {f.name: getattr(stats, f.name) for f in fields(stats) if f.name != "config"}
+    results.update(cause_counts=dict(stats.cause_counts), wilson_99=list(stats.wilson_99))
     return {
         "artifact": {"name": "sqdc", "version": __version__},
         "config": {
@@ -172,17 +176,7 @@ def report_dict(stats: DetectionStats) -> dict:
             "message": cfg.message,
         },
         "hash": {"algorithm": HASH_NAME, "truncate_bits": cfg.n // 8},
-        "results": {
-            "trials": stats.trials,
-            "cause_counts": dict(stats.cause_counts),
-            "bob_accept_rate": stats.bob_accept_rate,
-            "alice_accept_rate": stats.alice_accept_rate,
-            "security_event_rate": stats.security_event_rate,
-            "detection_rate": stats.detection_rate,
-            "wilson_99": list(stats.wilson_99),
-            "analytic": stats.analytic,
-            "analytic_formula": stats.analytic_formula,
-        },
+        "results": results,
     }
 
 

@@ -80,14 +80,15 @@ _SNAPSHOTS = {
 class QuantumRegister:
     """Collection of qubits partitioned into basis qubits and Bell pairs.
 
-    All measurement randomness flows through the seeded `rng`, one uniform
-    draw per measurement, so a register replays identically for a given seed
-    and operation script.
+    Its whole state is the seeded `rng` and `_comp_of`, which maps each
+    qubit id to its component. Ids are allocated densely from 0 and never
+    freed, so the next free id is `len(_comp_of)`. All measurement
+    randomness flows through `rng`, one uniform draw per measurement, so a
+    register replays identically for a given seed and operation script.
     """
 
     def __init__(self, seed=None):
         self.rng = Random(seed)
-        self._next_id = 0
         self._comp_of: dict[int, tuple] = {}
 
     # -- allocation ------------------------------------------------------
@@ -96,8 +97,7 @@ class QuantumRegister:
         """Allocate a fresh qubit in the basis state |bit>."""
         if bit not in (0, 1):
             raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-        q = self._next_id
-        self._next_id = q + 1
+        q = len(self._comp_of)
         self._comp_of[q] = ((q,), int(bit))
         return q
 
@@ -108,13 +108,12 @@ class QuantumRegister:
         # tuple.index compares by identity first, unlike hashing the enum, and
         # raises ValueError on a non-BellState
         labels = list(map(BELL_ORDER.index, states))
-        first = qa = self._next_id
-        self._next_id = end = first + 2 * len(labels)
         comp_of = self._comp_of
+        first = qa = len(comp_of)
         for label in labels:
             comp_of[qa] = comp_of[qa + 1] = ((qa, qa + 1), label)
             qa += 2
-        return tuple(range(first, end))
+        return tuple(range(first, qa))
 
     # -- measurement -----------------------------------------------------
 
@@ -146,10 +145,11 @@ class QuantumRegister:
         bell_measure's outcome is a step function of its uniform u with steps
         at multiples of 1/4, so measuring a scratch register holding just the
         two components at each quarter's midpoint gives each outcome weight
-        1/4 exactly. It draws nothing, changes no component, and raises the
+        1/4 exactly. The scratch register is built bare, with those midpoints
+        as its `rng` and no Mersenne Twister of its own. It draws nothing, changes no component, and raises the
         ValueErrors bell_measure raises.
         """
-        scratch = QuantumRegister()
+        scratch = QuantumRegister.__new__(QuantumRegister)
         scratch.rng = SimpleNamespace(random=iter((0.125, 0.375, 0.625, 0.875)).__next__)
         weights = dict.fromkeys(BELL_ORDER, 0.0)
         for _ in range(4):

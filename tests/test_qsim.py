@@ -273,11 +273,15 @@ def bell_boundary_setups():
         yield swap
 
 
-def test_bell_measure_closed_form_at_boundaries():
+def test_bell_measure_closed_form_at_boundaries(monkeypatch):
     # bell_probabilities, read off bell_measure, must equal the dense oracle's
-    # weights without drawing or changing a component; the outcome read off u
-    # must be the inverse CDF over them, right at and just below each multiple
-    # of 1/4, and leave the partners as the oracle's projection onto it does
+    # weights without drawing, changing a component or seeding a stream for
+    # its scratch register; the outcome read off u must be the inverse CDF
+    # over them, right at and just below each multiple of 1/4, and leave the
+    # partners as the oracle's projection onto it does
+    def no_stream(*args):
+        raise AssertionError("bell_probabilities seeded a Mersenne Twister")
+
     for setup in bell_boundary_setups():
         for u in BOUNDARY_US:
             eng = QuantumRegister()
@@ -292,7 +296,10 @@ def test_bell_measure_closed_form_at_boundaries():
             assert all(abs(probs[bs] - reference[bs]) < 1e-12 for bs in BELL_ORDER), (qa, qb)
             assert eng.rng.getstate() == state
             assert [eng.component_snapshot(q) for q in eng.live_qubits()] == snapshots
-            unknown = eng._next_id
+            with monkeypatch.context() as patch:
+                patch.setattr("sqdc.qsim.Random", no_stream)
+                assert eng.bell_probabilities(qa, qb) == probs
+            unknown = len(eng.live_qubits())
             for bad, message in (((qa, qa), "distinct"), ((qa, unknown), f"id {unknown}$")):
                 with pytest.raises(ValueError, match=message):
                     eng.bell_probabilities(*bad)
@@ -548,4 +555,4 @@ def test_bad_state_in_sequence_allocates_nothing():
     reg.prepare_bell(BellState.PSI_MINUS)
     with pytest.raises(ValueError):
         reg.prepare_bell(BellState.PHI_PLUS, "phi+", BellState.PSI_PLUS)
-    assert reg._next_id == 2 and reg.live_qubits() == [0, 1]
+    assert reg.live_qubits() == [0, 1] and reg.alloc_qubit(0) == 2
