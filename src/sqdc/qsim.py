@@ -146,8 +146,8 @@ class QuantumRegister:
         at multiples of 1/4, so measuring a scratch register holding just the
         two components at each quarter's midpoint gives each outcome weight
         1/4 exactly. The scratch register is built bare, with those midpoints
-        as its `rng` and no Mersenne Twister of its own. It draws nothing, changes no component, and raises the
-        ValueErrors bell_measure raises.
+        as its `rng` and no Mersenne Twister of its own. It draws nothing,
+        changes no component, and raises the ValueErrors bell_measure raises.
         """
         scratch = QuantumRegister.__new__(QuantumRegister)
         scratch.rng = SimpleNamespace(random=iter((0.125, 0.375, 0.625, 0.875)).__next__)
