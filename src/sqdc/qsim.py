@@ -80,11 +80,11 @@ _SNAPSHOTS = {
 class QuantumRegister:
     """Collection of qubits partitioned into basis qubits and Bell pairs.
 
-    Its whole state is the seeded `rng` and `_comp_of`, which maps each
-    qubit id to its component. Ids are allocated densely from 0 and never
-    freed, so the next free id is `len(_comp_of)`. All measurement
-    randomness flows through `rng`, one uniform draw per measurement, so a
-    register replays identically for a given seed and operation script.
+    `_comp_of` maps each qubit id to its component. Ids are allocated
+    densely from 0 and never freed, so the next free id is `len(_comp_of)`.
+    All measurement randomness flows through the seeded `rng`, one uniform
+    draw per measurement, so a register replays identically for a given seed
+    and operation script.
     """
 
     def __init__(self, seed=None):
@@ -145,11 +145,10 @@ class QuantumRegister:
         bell_measure's outcome is a step function of its uniform u with steps
         at multiples of 1/4, so measuring a scratch register holding just the
         two components at each quarter's midpoint gives each outcome weight
-        1/4 exactly. The scratch register is built bare, with those midpoints
-        as its `rng` and no Mersenne Twister of its own. It draws nothing,
-        changes no component, and raises the ValueErrors bell_measure raises.
+        1/4 exactly. It draws nothing, changes no component, and raises the
+        ValueErrors bell_measure raises.
         """
-        scratch = QuantumRegister.__new__(QuantumRegister)
+        scratch = QuantumRegister()
         scratch.rng = SimpleNamespace(random=iter((0.125, 0.375, 0.625, 0.875)).__next__)
         weights = dict.fromkeys(BELL_ORDER, 0.0)
         for _ in range(4):

