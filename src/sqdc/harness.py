@@ -261,7 +261,7 @@ def load_session_config(text: str) -> tuple[ExperimentConfig, KeyMaterial]:
     if k2 is not None and variant is Variant.MEASURE_RESEND:
         raise ConfigError(f"session config key 'k2' must be null for measure-resend, got {k2!r}")
     k1 = tuple(_checked("k1", hex_to_bits, doc["k1"], n))
-    k2 = tuple(_checked("k2", hex_to_bits, k2, n // 2)) if k2 else None
+    k2 = tuple(_checked("k2", hex_to_bits, k2, n // 2)) if k2 is not None else None
     keys = _checked("", KeyMaterial, k1, k2)
     if keys.k2 is None and variant is Variant.RANDOMIZATION:
         raise ConfigError("the randomization variant needs k2")

@@ -11,18 +11,18 @@ to drift. Pair allocation and Z measurement take whole sequences, element by
 element in order; such a call equals successive one-element calls, since
 allocating draws nothing and each measurement draws one uniform.
 
-A component is an immutable tuple (qubits, label) that its qubits share:
-- one qubit in |label>, or
-- two qubits (qa, qb) in (I ⊗ X^x Z^z)|Φ+>, label = 2x + z its BELL_ORDER index.
-It is held up to a global phase, which no measurement sees and a stabilizer
-simulator does not keep (Aaronson & Gottesman, PRA 70, 052328, 2004): iY|0>
-reads |1>, and a Pauli changes a pair's label the same way on either half. A
-change binds a new tuple to every qubit the component lists.
+Each qubit id maps to (partner, label): a basis qubit names itself and holds
+its bit; the two halves of a pair name each other and hold one label 2x + z,
+the BELL_ORDER index of (I ⊗ X^x Z^z)|Φ+>, whichever half comes first, since
+each Bell state is symmetric or antisymmetric under a swap. A state is held up
+to a global phase, which no measurement sees and a stabilizer simulator does
+not keep (Aaronson & Gottesman, PRA 70, 052328, 2004): iY|0> reads |1>, and a
+Pauli changes a pair's label the same way on either half.
 
 `bell_measure` alone states the Bell-outcome law; `bell_probabilities` reads
 it off by measuring the two components at the midpoint of each quarter of u.
-`component_snapshot`, for inspection, reads amplitude vectors from a table.
-Within a component the first qubit owns the most significant index bit.
+`component_snapshot`, for inspection, reads amplitude vectors from a table;
+a pair lists its lower id first, which owns the most significant index bit.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ _SNAPSHOTS = {
 class QuantumRegister:
     """Collection of qubits partitioned into basis qubits and Bell pairs.
 
-    `_comp_of` maps each qubit id to its component. Ids are allocated
+    `_comp_of` maps each qubit id to (partner, label). Ids are allocated
     densely from 0 and never freed, so the next free id is `len(_comp_of)`.
     All measurement randomness flows through the seeded `rng`, one uniform
     draw per measurement, so a register replays identically for a given seed
@@ -98,7 +98,7 @@ class QuantumRegister:
         if bit not in (0, 1):
             raise ValueError(f"bit must be 0 or 1, got {bit!r}")
         q = len(self._comp_of)
-        self._comp_of[q] = ((q,), int(bit))
+        self._comp_of[q] = (q, int(bit))
         return q
 
     def prepare_bell(self, *states: BellState) -> tuple[int, ...]:
@@ -111,7 +111,8 @@ class QuantumRegister:
         comp_of = self._comp_of
         first = qa = len(comp_of)
         for label in labels:
-            comp_of[qa] = comp_of[qa + 1] = ((qa, qa + 1), label)
+            comp_of[qa] = (qa + 1, label)
+            comp_of[qa + 1] = (qa, label)
             qa += 2
         return tuple(range(first, qa))
 
@@ -127,15 +128,14 @@ class QuantumRegister:
         outcomes = []
         for q in qubits:
             try:
-                members, label = comp_of[q]
+                partner, label = comp_of[q]
             except KeyError:
                 raise ValueError(f"unknown qubit id {q!r}") from None
             u = random()
-            if len(members) == 2:  # else a basis qubit, certain to read label
-                partner = members[1] if members[0] == q else members[0]
+            if partner != q:  # else a basis qubit, certain to read label
                 x, label = label >> 1, 0 if u < 0.5 else 1
-                comp_of[q] = ((q,), label)
-                comp_of[partner] = ((partner,), label ^ x)
+                comp_of[q] = (q, label)
+                comp_of[partner] = (partner, label ^ x)
             outcomes.append(label)
         return tuple(outcomes)
 
@@ -159,42 +159,38 @@ class QuantumRegister:
     def bell_measure(self, qa: int, qb: int) -> BellState:
         """Jointly measure two qubits in the Bell basis with collapse.
 
-        The measured pair becomes its own two-qubit component. A partner left
+        The measured qubits become each other's partners. A partner left
         behind gets the state that teleportation or entanglement swapping
-        fixes; two partners form one pair, in qubit-id order.
+        fixes; two partners form one pair.
         """
         if qa == qb:
             raise ValueError("bell measurement needs two distinct qubits")
         comp_of = self._comp_of
         try:
-            ca = comp_of[qa]
+            pa, la = comp_of[qa]
             cb = comp_of[qb]
         except KeyError as exc:
             raise ValueError(f"unknown qubit id {exc.args[0]!r}") from None
         u = self.rng.random()
-        if ca is cb:  # certain; u was drawn to keep streams aligned
-            if ca[0][0] != qa:  # every Bell state is symmetric up to phase
-                comp_of[qa] = comp_of[qb] = ((qa, qb), ca[1])
-            return BELL_ORDER[ca[1]]
-        qs_a, qs_b = ca[0], cb[0]
-        if len(qs_a) == len(qs_b) == 1:  # X parity a ^ b, the Z phase even
-            label = 2 * (ca[1] ^ cb[1]) + (u >= 0.5)
-        elif len(qs_a) == len(qs_b):
+        if pa == qb:  # certain; u was drawn to keep streams aligned
+            return BELL_ORDER[la]
+        pb, lb = cb
+        if pa == qa and pb == qb:  # X parity a ^ b, the Z phase even
+            label = 2 * (la ^ lb) + (u >= 0.5)
+        elif pa != qa and pb != qb:
             # Entanglement swapping: the partners carry the product of the
             # three Paulis, which is the XOR of their labels up to sign.
             label = int(4 * u)
-            pa = qs_a[1] if qs_a[0] == qa else qs_a[0]
-            pb = qs_b[1] if qs_b[0] == qb else qs_b[0]
-            partners = (pa, pb) if pa < pb else (pb, pa)
-            comp_of[pa] = comp_of[pb] = (partners, ca[1] ^ cb[1] ^ label)
+            comp_of[pa] = (pb, la ^ lb ^ label)
+            comp_of[pb] = (pa, la ^ lb ^ label)
         else:
             # Teleportation: Z parities chain through the pair (x), the basis
             # qubit's bit and the outcome's X parity.
             label = int(4 * u)
-            pair, basis, q = (ca, cb, qa) if len(qs_a) == 2 else (cb, ca, qb)
-            p = pair[0][1] if pair[0][0] == q else pair[0][0]
-            comp_of[p] = ((p,), (pair[1] >> 1) ^ basis[1] ^ (label >> 1))
-        comp_of[qa] = comp_of[qb] = ((qa, qb), label)
+            p, x, bit = (pa, la >> 1, lb) if pa != qa else (pb, lb >> 1, la)
+            comp_of[p] = (p, x ^ bit ^ (label >> 1))
+        comp_of[qa] = (qb, label)
+        comp_of[qb] = (qa, label)
         return BELL_ORDER[label]
 
     # -- unitaries -------------------------------------------------------
@@ -207,17 +203,20 @@ class QuantumRegister:
         from the left, and on the first (P ⊗ I)|Φ+> = (I ⊗ P^T)|Φ+> with
         P^T = ±P multiplies it from the right.
         """
+        if not isinstance(op, Pauli):
+            raise ValueError(f"op must be a Pauli, got {op!r}")
         px, pz = _PAULI_XZ[op]
-        qubits, label = self._component(q)
-        comp = (qubits, label ^ (px if len(qubits) == 1 else 2 * px + pz))
-        for p in qubits:
-            self._comp_of[p] = comp
+        p, label = self._component(q)
+        label ^= px if p == q else 2 * px + pz
+        self._comp_of[q] = (p, label)
+        self._comp_of[p] = (q, label)
 
     # -- introspection ---------------------------------------------------
 
     def component_snapshot(self, q: int) -> tuple[tuple[int, ...], tuple[complex, ...]]:
         """The qubits of the component containing q and its amplitude vector."""
-        qubits, label = self._component(q)
+        p, label = self._component(q)
+        qubits = (q,) if p == q else (q, p) if q < p else (p, q)
         return qubits, _SNAPSHOTS[len(qubits)][label]
 
     def live_qubits(self) -> list[int]:

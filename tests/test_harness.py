@@ -414,12 +414,12 @@ def test_analytic_outputs_pinned(capsys):
 
 
 # SHA-256 over every measurement (call and outcome) of an experiment, then
-# over each session's final register components. The report pins above n = 16
-# read saturated detection rates, so they would miss an engine change that
-# keeps every verdict; this stream moves with the engine state, including the
-# partner left by teleportation (idealized Bob) or entanglement swapping
-# (concrete Bob), and the label an iY leaves on a transmitted qubit
-# (modify_single).
+# over each session's final register components, a pair's qubits in ascending
+# id order. The report pins above n = 16 read saturated detection rates, so
+# they would miss an engine change that keeps every verdict; this stream moves
+# with the engine state, including the partner left by teleportation
+# (idealized Bob) or entanglement swapping (concrete Bob), and the label an iY
+# leaves on a transmitted qubit (modify_single).
 ENGINE_STREAMS = [
     (
         dict(attack="intercept_resend", n=64, trials=40, seed=13),
@@ -435,7 +435,7 @@ ENGINE_STREAMS = [
     ),
     (
         dict(attack="impersonate_bob", attack_params={"mode": "concrete"}, n=64, trials=20, seed=23),
-        "f40a839c08febc7eab7f32ced4082780ce669b2a5a7e5fe3f526130ca0a81aea",
+        "5c93adcd9580d403d343979bf1053184b5c17bdb817e4ff1889c934c4ab84d0e",
     ),
     (
         dict(attack="modify_single", attack_params={"target": "c"}, n=64, trials=40, seed=29),
@@ -616,6 +616,9 @@ def test_session_config_parsing_errors():
         # one surplus digit each: rejected, not dropped
         ("k1", {"k1": "00ff0"}),
         ("k2", {"k2": "0f0"}),
+        # present but falsy: not a missing k2
+        ("k2", {"k2": ""}),
+        ("k2", {"k2": 0}),
     ):
         doc, _ = session_doc(**overrides)
         with pytest.raises(ConfigError, match=f"^{key}: "):

@@ -6,6 +6,7 @@ each step)."""
 
 import itertools
 import math
+import re
 from random import Random
 
 import pytest
@@ -40,6 +41,15 @@ def test_alloc_rejects_non_bit():
     reg = QuantumRegister(0)
     with pytest.raises(ValueError):
         reg.alloc_qubit(2)
+
+
+def test_apply_pauli_rejects_non_pauli():
+    reg = QuantumRegister(0)
+    q = reg.alloc_qubit(0)
+    for op in ("X", None, BellState.PHI_PLUS):
+        with pytest.raises(ValueError, match=re.escape(repr(op))):
+            reg.apply_pauli(q, op)
+    assert reg.measure_z(q) == (0,)
 
 
 def test_alloc_then_measure_is_deterministic():
@@ -194,7 +204,7 @@ def test_bell_measure_entanglement_swap():
         b1, b2 = reg.prepare_bell(BellState.PHI_PLUS)
         reg.bell_measure(a1, b2)
         qubits, amps = reg.component_snapshot(a2)
-        assert set(qubits) == {a2, b1}
+        assert qubits == tuple(sorted((b1, a2)))
         probs = reg.bell_probabilities(a2, b1)
         assert max(probs.values()) > 1 - 1e-9
 
@@ -227,7 +237,7 @@ def test_same_pair_bell_measure_certain_in_both_orders():
         assert outcome == orc.bell_measure(qa, qb)
         assert states_equal(engine_state(eng, orc.qubits), orc.amps)
         qubits, amps = eng.component_snapshot(qa)
-        assert set(qubits) == {qa, qb}
+        assert qubits == tuple(sorted((qa, qb)))
         assert amps == BELL_AMPLITUDES[outcome]
         assert outcome is expected  # every Bell state is (anti)symmetric
 
