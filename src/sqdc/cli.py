@@ -103,7 +103,9 @@ def main(argv=None) -> int:
         elif args.command == "analytic":
             # a closed form reads no trial count or seed; 1 and 0 only pass the checks
             params = _parse_attack_params(args.attack_param)
-            config = ExperimentConfig(Variant(args.variant), args.attack, args.n, 1, 0, params)
+            config = ExperimentConfig(
+                Variant(args.variant), args.attack, args.n, 1, 0, attack_params=params
+            )
             config.validate()
             prob, formula = config.analytic()
             if prob is None:

@@ -33,10 +33,10 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     variant: Variant
     attack: str
+    attack_params: dict = field(default_factory=dict, kw_only=True)
     n: int
     trials: int
     seed: int
-    attack_params: dict = field(default_factory=dict)
     message: str | None = None  # fixed message as hex; None = random per trial
 
     def validate(self) -> None:
@@ -128,19 +128,18 @@ def run_experiment(config: ExperimentConfig) -> DetectionStats:
     """
     config.validate()
     counts = {cause.value: 0 for cause in DetectionCause}
-    bob_accepts = alice_accepts = security_events = 0
+    bob_accepts = security_events = 0
     for i in range(config.trials):
         outcome = run_trial(config, i)
         counts[outcome.detection_cause.value] += 1
         if outcome.bob_accepts:
             bob_accepts += 1
-        if outcome.alice_accepts:
-            alice_accepts += 1
         if outcome.security_event:
             security_events += 1
 
     t = config.trials
     detections = t - counts[DetectionCause.NONE.value]
+    alice_accepts = counts[DetectionCause.NONE.value] + counts[DetectionCause.HASH_MISMATCH.value]
     analytic, formula = config.analytic()
     return DetectionStats(
         trials=t,
@@ -159,22 +158,17 @@ def run_experiment(config: ExperimentConfig) -> DetectionStats:
 # -- reporting ---------------------------------------------------------------
 
 def report_dict(stats: DetectionStats) -> dict:
-    """The report of a run; its results block lists the DetectionStats
-    fields in declaration order, all but config, as JSON types."""
+    """The report of a run; its config and results blocks list the
+    ExperimentConfig and DetectionStats fields in declaration order, the
+    results all but config, as JSON types."""
     cfg = stats.config
+    config = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    config.update(variant=cfg.variant.value, attack_params=dict(cfg.attack_params))
     results = {f.name: getattr(stats, f.name) for f in fields(stats) if f.name != "config"}
     results.update(cause_counts=dict(stats.cause_counts), wilson_99=list(stats.wilson_99))
     return {
         "artifact": {"name": "sqdc", "version": __version__},
-        "config": {
-            "variant": cfg.variant.value,
-            "attack": cfg.attack,
-            "attack_params": dict(cfg.attack_params),
-            "n": cfg.n,
-            "trials": cfg.trials,
-            "seed": cfg.seed,
-            "message": cfg.message,
-        },
+        "config": config,
         "hash": {"algorithm": HASH_NAME, "truncate_bits": cfg.n // 8},
         "results": results,
     }
@@ -253,7 +247,9 @@ def load_session_config(text: str) -> tuple[ExperimentConfig, KeyMaterial]:
         raise ConfigError(f"unknown variant {doc['variant']!r}") from None
     n, attack, params = doc["n"], doc.get("attack", "no_attack"), doc.get("attack_params", {})
     # a document is one session (trials=1) held to the checks and error text of `sqdc run`
-    config = ExperimentConfig(variant, attack, n, 1, doc["seed"], params, doc["message"])
+    config = ExperimentConfig(
+        variant, attack, n, 1, doc["seed"], doc["message"], attack_params=params
+    )
     config.validate()
     if config.message is None:  # random per trial in a run; a document needs one
         raise ConfigError("message: a session config needs a hex string, got None")

@@ -52,11 +52,15 @@ class AliceSession:
 @dataclass
 class RunOutcome:
     bob_accepts: bool | None  # None when the adversary bypassed Bob entirely
-    alice_accepts: bool
     decoded_message: list[int] | None
     detection_cause: DetectionCause
     security_event: bool
     check_matches: list[bool]
+
+    @property
+    def alice_accepts(self) -> bool:
+        """Alice's checks passed; a hash mismatch is Bob's rejection alone."""
+        return self.detection_cause in (DetectionCause.NONE, DetectionCause.HASH_MISMATCH)
 
     @property
     def detected(self) -> bool:
@@ -205,7 +209,6 @@ def run_session(variant: Variant, m, keys: KeyMaterial, attack, seed) -> RunOutc
     security_event = bool(bob_ok) and m_decoded != list(m)
     return RunOutcome(
         bob_accepts=bob_ok,
-        alice_accepts=alice_ok,
         decoded_message=m_decoded,
         detection_cause=cause,
         security_event=security_event,

@@ -21,7 +21,8 @@ Pauli changes a pair's label the same way on either half.
 
 `bell_measure` alone states the Bell-outcome law; `bell_probabilities` reads
 it off by measuring the two components at the midpoint of each quarter of u.
-`component_snapshot`, for inspection, reads amplitude vectors from a table;
+`component_snapshot`, for inspection, reads amplitude vectors from
+`_SNAPSHOTS`, the one place the engine writes out the Bell states' amplitudes;
 a pair lists its lower id first, which owns the most significant index bit.
 """
 
@@ -30,8 +31,6 @@ from __future__ import annotations
 from enum import Enum
 from random import Random
 from types import SimpleNamespace
-
-_INV_SQRT2 = 2 ** -0.5
 
 
 class Pauli(Enum):
@@ -46,14 +45,6 @@ class BellState(Enum):
     PSI_PLUS = "psi+"
     PSI_MINUS = "psi-"
 
-
-# Amplitude conventions: Phi+- = (|00> +- |11>)/sqrt(2), Psi+- = (|01> +- |10>)/sqrt(2).
-BELL_AMPLITUDES = {
-    BellState.PHI_PLUS: (_INV_SQRT2, 0.0, 0.0, _INV_SQRT2),
-    BellState.PHI_MINUS: (_INV_SQRT2, 0.0, 0.0, -_INV_SQRT2),
-    BellState.PSI_PLUS: (0.0, _INV_SQRT2, _INV_SQRT2, 0.0),
-    BellState.PSI_MINUS: (0.0, _INV_SQRT2, -_INV_SQRT2, 0.0),
-}
 
 # Fixed outcome order; index 2x + z is the state (I ⊗ X^x Z^z)|Φ+>. A Bell
 # outcome is read off one uniform u in closed form, a step function of u with
@@ -70,10 +61,16 @@ BELL_ORDER = (
 # Each operator as Z^pz X^px, as (px, pz); iY = ZX maps |0> -> -|1>, |1> -> |0>.
 _PAULI_XZ = {Pauli.X: (1, 0), Pauli.Z: (0, 1), Pauli.IY: (1, 1)}
 
-# Snapshot amplitudes by component size, then label.
+# Snapshot amplitudes by component size, then label; the pairs in BELL_ORDER,
+# Phi+- = (|00> +- |11>)/sqrt(2) and Psi+- = (|01> +- |10>)/sqrt(2).
 _SNAPSHOTS = {
     1: ((1 + 0j, 0j), (0j, 1 + 0j)),
-    2: tuple(tuple(complex(a) for a in BELL_AMPLITUDES[bs]) for bs in BELL_ORDER),
+    2: (
+        (complex(2 ** -0.5), 0j, 0j, complex(2 ** -0.5)),
+        (complex(2 ** -0.5), 0j, 0j, complex(-(2 ** -0.5))),
+        (0j, complex(2 ** -0.5), complex(2 ** -0.5), 0j),
+        (0j, complex(2 ** -0.5), complex(-(2 ** -0.5)), 0j),
+    ),
 }
 
 

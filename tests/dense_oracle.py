@@ -4,6 +4,10 @@ Keeps every allocated qubit in one flat amplitude vector, with the same index
 convention, sampling order, and one-uniform-per-measurement RNG discipline as
 the component engine, so that outcome probabilities can be compared per step
 and sampled outcomes agree exactly under identical random streams.
+
+The oracle states the Bell vectors itself: each is (I ⊗ X^x Z^z)|Φ+> for its
+BELL_ORDER index 2x + z, built with the oracle's own Pauli matrices, so it
+shares no amplitude table with the engine.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from math import sqrt
 from random import Random
 
-from sqdc.qsim import BELL_AMPLITUDES, BELL_ORDER, BellState, Pauli
+from sqdc.qsim import BELL_ORDER, BellState, Pauli
 
 NORM_ATOL = 1e-9
 
@@ -22,19 +26,37 @@ _PAULI_MATRIX = {
 }
 
 
+def _apply_matrix(amps: list, op: Pauli, bit: int) -> None:
+    """Apply op's matrix in place to the qubit owning index bit `bit`."""
+    m00, m01, m10, m11 = _PAULI_MATRIX[op]
+    for i0 in range(len(amps)):
+        if i0 & bit:
+            continue
+        i1 = i0 | bit
+        a0, a1 = amps[i0], amps[i1]
+        amps[i0] = m00 * a0 + m01 * a1
+        amps[i1] = m10 * a0 + m11 * a1
+
+
+def _bell_vector(label: int) -> tuple:
+    """(I ⊗ X^x Z^z)|Φ+> for label 2x + z, Φ+ = (|00> + |11>)/sqrt(2)."""
+    amps = [2 ** -0.5, 0.0, 0.0, 2 ** -0.5]
+    if label & 1:
+        _apply_matrix(amps, Pauli.Z, 1)
+    if label >> 1:
+        _apply_matrix(amps, Pauli.X, 1)
+    return tuple(amps)
+
+
+BELL_VECTORS = {bs: _bell_vector(label) for label, bs in enumerate(BELL_ORDER)}
+
+
 class DenseRegister:
-    def __init__(self, seed=None, rng: Random | None = None):
-        self.rng = rng if rng is not None else Random(seed)
+    def __init__(self, seed=None):
+        self.rng = Random(seed)
         self.qubits: list[int] = []
         self.amps: list[complex] = [1 + 0j]
         self._next_id = 0
-
-    def copy(self) -> "DenseRegister":
-        clone = DenseRegister(rng=self.rng)
-        clone.qubits = list(self.qubits)
-        clone.amps = list(self.amps)
-        clone._next_id = self._next_id
-        return clone
 
     # -- allocation --------------------------------------------------------
 
@@ -55,7 +77,7 @@ class DenseRegister:
         qb = self._next_id + 1
         self._next_id += 2
         self.qubits.extend((qa, qb))
-        t = BELL_AMPLITUDES[bs]
+        t = BELL_VECTORS[bs]
         self.amps = [a * t[j] for a in self.amps for j in range(4)]
         return qa, qb
 
@@ -123,7 +145,7 @@ class DenseRegister:
         rest = [i for i in range(len(self.amps)) if not (i & ba) and not (i & bb)]
         branches = []
         for bs in BELL_ORDER:
-            t = BELL_AMPLITUDES[bs]
+            t = BELL_VECTORS[bs]
             p = 0.0
             coeffs = {}
             for i in rest:
@@ -142,7 +164,7 @@ class DenseRegister:
         sa = self._shift(qa)
         sb = self._shift(qb)
         ba, bb = 1 << sa, 1 << sb
-        t = BELL_AMPLITUDES[outcome]
+        t = BELL_VECTORS[outcome]
         norm = sqrt(sum(c.real * c.real + c.imag * c.imag for c in coeffs.values()))
         new = [0j] * len(self.amps)
         for i, c in coeffs.items():
@@ -156,16 +178,7 @@ class DenseRegister:
     # -- unitaries -----------------------------------------------------------
 
     def apply_pauli(self, q: int, op: Pauli) -> None:
-        m00, m01, m10, m11 = _PAULI_MATRIX[op]
-        s = self._shift(q)
-        bit = 1 << s
-        for i0 in range(len(self.amps)):
-            if i0 & bit:
-                continue
-            i1 = i0 | bit
-            a0, a1 = self.amps[i0], self.amps[i1]
-            self.amps[i0] = m00 * a0 + m01 * a1
-            self.amps[i1] = m10 * a0 + m11 * a1
+        _apply_matrix(self.amps, op, 1 << self._shift(q))
 
 
 def states_equal(a, b, atol: float = NORM_ATOL) -> bool:

@@ -20,9 +20,7 @@ from sqdc.keys import KeyMaterial, deinterleave, gen_keys, random_bits
 from sqdc.protocol import DetectionCause, Variant, run_session
 from sqdc.qsim import BELL_ORDER, BellState, QuantumRegister
 
-from test_qsim import run_scripted_comparison
-
-CHI2_CRIT_DF3_P01 = 11.345
+from test_qsim import CHI2_CRIT_DF3_P01, run_scripted_comparison
 
 
 def report(num: int, description: str, ok: bool, detail: str = "") -> None:

@@ -278,7 +278,7 @@ def test_all_checks_pass_probability_follows_cycle_law(sigma):
 
 def test_base_strategy_subclass_contract():
     class Null(AttackStrategy):
-        name = "null"
+        pass
 
     attack = Null()
     register = QuantumRegister(0)

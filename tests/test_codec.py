@@ -147,7 +147,7 @@ def test_forgery_bound_random_blocks():
 # -- bit <-> Bell encoding --------------------------------------------------------
 
 
-def test_encode_bit_mapping():
+def test_alphabet_mapping():
     assert ALPHABET == (BellState.PHI_PLUS, BellState.PSI_MINUS)
 
 

@@ -5,11 +5,13 @@ import hashlib
 import io
 import itertools
 import json
+from dataclasses import fields
 from pathlib import Path
 from random import Random
 
 import pytest
 
+import sqdc.protocol
 from sqdc.cli import OUTPUT_DIR_ENV, main
 from sqdc.codec import bits_to_hex
 from sqdc.harness import (
@@ -269,6 +271,7 @@ def test_csv_report_round_trip():
     rows = list(csv.DictReader(io.StringIO(text)))
     assert len(rows) == 1
     row = rows[0]
+    assert list(row)[:7] == [f.name for f in fields(ExperimentConfig)]
     assert tuple(row) == (
         "variant", "attack", "attack_params", "n", "trials", "seed", "message",
         "count_none", "count_hash_mismatch", "count_bell_check_failed", "count_reflect_flag",
@@ -480,25 +483,23 @@ def test_engine_stream_pinned(monkeypatch, overrides, expected):
     digest = hashlib.sha256()
     registers = []
 
-    def measure_z(self, *qubits, _method=QuantumRegister.measure_z):
-        outcomes = _method(self, *qubits)
-        for q, o in zip(qubits, outcomes):  # one entry per qubit, as successive calls
-            digest.update(f"measure_z {(q,)} {o};".encode())
-        return outcomes
+    class Recording(QuantumRegister):
+        def __init__(self, seed):
+            super().__init__(seed)
+            registers.append(self)
 
-    def bell_measure(self, *args, _method=QuantumRegister.bell_measure):
-        outcome = _method(self, *args)
-        digest.update(f"bell_measure {args} {outcome};".encode())
-        return outcome
+        def measure_z(self, *qubits):
+            outcomes = super().measure_z(*qubits)
+            for q, o in zip(qubits, outcomes):  # one entry per qubit, as successive calls
+                digest.update(f"measure_z {(q,)} {o};".encode())
+            return outcomes
 
-    monkeypatch.setattr(QuantumRegister, "measure_z", measure_z)
-    monkeypatch.setattr(QuantumRegister, "bell_measure", bell_measure)
+        def bell_measure(self, *args):
+            outcome = super().bell_measure(*args)
+            digest.update(f"bell_measure {args} {outcome};".encode())
+            return outcome
 
-    def kept(self, seed, _init=QuantumRegister.__init__):
-        _init(self, seed)
-        registers.append(self)
-
-    monkeypatch.setattr(QuantumRegister, "__init__", kept)
+    monkeypatch.setattr(sqdc.protocol, "QuantumRegister", Recording)
     run_experiment(make_config(**overrides))
     assert len(registers) == overrides["trials"]
     for register in registers:

@@ -12,14 +12,13 @@ from random import Random
 import pytest
 
 from sqdc.qsim import (
-    BELL_AMPLITUDES,
     BELL_ORDER,
     BellState,
     Pauli,
     QuantumRegister,
 )
 
-from dense_oracle import DenseRegister, states_equal
+from dense_oracle import BELL_VECTORS, DenseRegister, states_equal
 
 INV_SQRT2 = 2 ** -0.5
 
@@ -76,9 +75,13 @@ def test_prepare_psi_minus_amplitudes():
 
 
 def test_bell_states_orthonormal():
+    # the engine's snapshots; each is checked equal to the oracle's own vector
+    # in test_same_pair_bell_measure_certain_in_both_orders
+    reg = QuantumRegister(0)
+    vectors = {bs: reg.component_snapshot(reg.prepare_bell(bs)[0])[1] for bs in BELL_ORDER}
     for a in BELL_ORDER:
         for b in BELL_ORDER:
-            dot = sum(x * y for x, y in zip(BELL_AMPLITUDES[a], BELL_AMPLITUDES[b]))
+            dot = sum(x.conjugate() * y for x, y in zip(vectors[a], vectors[b]))
             assert abs(dot - (1.0 if a is b else 0.0)) < 1e-12
 
 
@@ -238,7 +241,7 @@ def test_same_pair_bell_measure_certain_in_both_orders():
         assert states_equal(engine_state(eng, orc.qubits), orc.amps)
         qubits, amps = eng.component_snapshot(qa)
         assert qubits == tuple(sorted((qa, qb)))
-        assert amps == BELL_AMPLITUDES[outcome]
+        assert amps == BELL_VECTORS[outcome]
         assert outcome is expected  # every Bell state is (anti)symmetric
 
 
