@@ -26,10 +26,9 @@ def _parse_attack_params(pairs):
         key, value = pair.split("=", 1)
         if key in params:
             raise ConfigError(f"attack parameter {key!r} given twice")
-        try:
-            params[key] = int(value)
-        except ValueError:
-            params[key] = value
+        # only ASCII digits with an optional leading "-" name a position
+        is_int = value.isascii() and value.removeprefix("-").isdigit()
+        params[key] = int(value) if is_int else value
     return params
 
 
@@ -40,30 +39,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run a Monte Carlo experiment")
-    run.add_argument("--variant", choices=[v.value for v in Variant], required=True)
-    run.add_argument("--attack", required=True, choices=tuple(ATTACKS))
-    run.add_argument(
+    # the flags that name an experiment, shared by every command that runs one
+    experiment = argparse.ArgumentParser(add_help=False)
+    experiment.add_argument("--attack", required=True, choices=tuple(ATTACKS))
+    experiment.add_argument(
         "--attack-param",
         action="append",
         default=[],
         metavar="K=V",
         help="attack parameter, repeatable (see list-attacks)",
     )
-    run.add_argument("--n", type=int, required=True, help="qubits per session")
+    experiment.add_argument("--n", type=int, required=True, help="qubits per session")
+    variants = [v.value for v in Variant]
+
+    run = sub.add_parser("run", parents=[experiment], help="run a Monte Carlo experiment")
+    run.add_argument("--variant", choices=variants, required=True)
     run.add_argument("--trials", type=int, required=True)
     run.add_argument("--seed", type=int, required=True)
     run.add_argument("--message", help="fixed message as hex; default random per trial")
     run.add_argument("--format", choices=["json", "csv"], default="json")
     run.add_argument("--out", help="output path; default stdout")
 
-    analytic = sub.add_parser("analytic", help="print a closed-form detection probability")
-    analytic.add_argument("--attack", required=True, choices=tuple(ATTACKS))
-    analytic.add_argument("--n", type=int, required=True)
-    analytic.add_argument(
-        "--variant", choices=[v.value for v in Variant], default=Variant.RANDOMIZATION.value
+    analytic = sub.add_parser(
+        "analytic", parents=[experiment], help="print a closed-form detection probability"
     )
-    analytic.add_argument("--attack-param", action="append", default=[], metavar="K=V")
+    analytic.add_argument("--variant", choices=variants, default=Variant.RANDOMIZATION.value)
+    # a closed form reads no trial count, seed or message; these only pass the checks
+    analytic.set_defaults(trials=1, seed=0, message=None)
 
     sub.add_parser("list-attacks", help="list attack names and their parameters")
     return parser
@@ -77,52 +79,47 @@ def _resolve_out(path: str) -> str:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    if args.command == "list-attacks":
+        for name, entry in ATTACKS.items():
+            line = name
+            if len(entry.variants) < len(Variant):
+                line += f"  ({' / '.join(v.value for v in entry.variants)} only)"
+            for key, param in entry.params.items():
+                line += f"\n    {key}: {param.values()}\n      {param.help}"
+            print(line)
+        return 0
     try:
-        if args.command == "run":
-            config = ExperimentConfig(
-                variant=Variant(args.variant),
-                attack=args.attack,
-                attack_params=_parse_attack_params(args.attack_param),
-                n=args.n,
-                trials=args.trials,
-                seed=args.seed,
-                message=args.message,
-            )
-            text = emit_report(run_experiment(config), args.format)
-            if args.out:
-                try:
-                    with open(_resolve_out(args.out), "w", encoding="utf-8") as fh:
-                        fh.write(text)
-                except OSError as exc:
-                    print(f"error: cannot write report: {exc}", file=sys.stderr)
-                    return 3
-            else:
-                sys.stdout.write(text)
-        elif args.command == "analytic":
-            # a closed form reads no trial count or seed; 1 and 0 only pass the checks
-            params = _parse_attack_params(args.attack_param)
-            config = ExperimentConfig(
-                Variant(args.variant), args.attack, args.n, 1, 0, attack_params=params
-            )
+        config = ExperimentConfig(
+            variant=Variant(args.variant),
+            attack=args.attack,
+            attack_params=_parse_attack_params(args.attack_param),
+            n=args.n,
+            trials=args.trials,
+            seed=args.seed,
+            message=args.message,
+        )
+        if args.command == "analytic":
             config.validate()
             prob, formula = config.analytic()
             if prob is None:
                 print("no closed form for this attack/variant")
             else:
                 print(f"{prob!r}  ({formula})")
-        elif args.command == "list-attacks":
-            for name, entry in ATTACKS.items():
-                line = name
-                if len(entry.variants) < len(Variant):
-                    line += f"  ({' / '.join(v.value for v in entry.variants)} only)"
-                for key, param in entry.params.items():
-                    line += f"\n    {key}: {param.values()}\n      {param.help}"
-                print(line)
+            return 0
+        text = emit_report(run_experiment(config), args.format)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if not args.out:
+        sys.stdout.write(text)
+        return 0
+    try:
+        with open(_resolve_out(args.out), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

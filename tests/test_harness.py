@@ -827,6 +827,11 @@ RUN = ["run", "--variant", "randomization", "--n", "16", "--trials", "5", "--see
         + ["--attack-param", "target=c", "--attack-param", "target=s"],
         # one surplus digit: rejected, not dropped while the report shows it
         RUN + ["--attack", "no_attack", "--message", "0f"],
+        # a position is ASCII digits with an optional "-", nothing else int() reads
+        *(
+            RUN + ["--attack", "modify_single", "--attack-param", f"target={value}"]
+            for value in ("1_0", " 3", "+3", "\u0663")
+        ),
     ],
 )
 def test_cli_invalid_input_exit_code(argv, capsys):

@@ -2,7 +2,8 @@
 alone: numpy and other packages may be installed where the tests run, so an
 import of one would pass every other test. Only `keys` copies CPython's
 random draws. Every session, of a run or of a document, runs through
-`harness.run_trial`. And one helper turns a ValueError into a ConfigError."""
+`harness.run_trial`. One helper turns a ValueError into a ConfigError. And
+the command line declares the flags that name an experiment once."""
 
 import ast
 import sys
@@ -104,3 +105,18 @@ def test_sessions_run_only_through_run_trial():
         "harness.py::run_trial calls run_session",
         "harness.py::run_trial calls trial_seeds",
     ]
+
+
+def test_cli_names_an_experiment_once():
+    # `run` and `analytic` share one parent parser for the flags that name an
+    # experiment, and one ExperimentConfig is built for both commands.
+    tree = ast.parse((SRC / "cli.py").read_text(), "cli.py")
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    built = [c for c in calls if getattr(c.func, "id", None) == "ExperimentConfig"]
+    flags = [
+        c.args[0].value
+        for c in calls
+        if getattr(c.func, "attr", None) == "add_argument" and isinstance(c.args[0], ast.Constant)
+    ]
+    assert len(built) == 1
+    assert [flags.count(flag) for flag in ("--attack", "--attack-param", "--n")] == [1, 1, 1]
