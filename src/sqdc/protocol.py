@@ -76,8 +76,9 @@ def alice_prepare(m, keys: KeyMaterial, register: QuantumRegister, variant: Vari
     n = 8 * len(m)
     if len(keys.k1) != n:
         raise ValueError(f"k1 must have {n} bits for a {len(m)}-bit message")
-    if variant is Variant.RANDOMIZATION and keys.k2 is None:
-        raise ValueError("randomization variant requires k2")
+    if (keys.k2 is None) == (variant is Variant.RANDOMIZATION):
+        need = "needs" if keys.k2 is None else "takes no"
+        raise ValueError(f"the {variant.value} variant {need} k2")
 
     block = build_block(m)  # n/4 bits
     # allocating draws nothing, so drawing the checking states first keeps the

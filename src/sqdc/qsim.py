@@ -21,9 +21,9 @@ Pauli changes a pair's label the same way on either half.
 
 `bell_measure` alone states the Bell-outcome law; `bell_probabilities` reads
 it off by measuring the two components at the midpoint of each quarter of u.
-`component_snapshot`, for inspection, reads amplitude vectors from
-`_SNAPSHOTS`, the one place the engine writes out the Bell states' amplitudes;
-a pair lists its lower id first, which owns the most significant index bit.
+`component_snapshot`, for inspection, returns the state a component stores:
+a basis qubit's bit or a pair's BellState, lower id first; their amplitudes
+are written out once, in the tests' dense oracle.
 """
 
 from __future__ import annotations
@@ -61,19 +61,6 @@ BELL_ORDER = (
 # Each operator as Z^pz X^px, as (px, pz); iY = ZX maps |0> -> -|1>, |1> -> |0>.
 _PAULI_XZ = {Pauli.X: (1, 0), Pauli.Z: (0, 1), Pauli.IY: (1, 1)}
 
-# Snapshot amplitudes by component size, then label; the pairs in BELL_ORDER,
-# Phi+- = (|00> +- |11>)/sqrt(2) and Psi+- = (|01> +- |10>)/sqrt(2).
-_SNAPSHOTS = {
-    1: ((1 + 0j, 0j), (0j, 1 + 0j)),
-    2: (
-        (complex(2 ** -0.5), 0j, 0j, complex(2 ** -0.5)),
-        (complex(2 ** -0.5), 0j, 0j, complex(-(2 ** -0.5))),
-        (0j, complex(2 ** -0.5), complex(2 ** -0.5), 0j),
-        (0j, complex(2 ** -0.5), complex(-(2 ** -0.5)), 0j),
-    ),
-}
-
-
 class QuantumRegister:
     """Collection of qubits partitioned into basis qubits and Bell pairs.
 
@@ -84,7 +71,7 @@ class QuantumRegister:
     and operation script.
     """
 
-    def __init__(self, seed=None):
+    def __init__(self, seed):
         self.rng = Random(seed)
         self._comp_of: dict[int, tuple] = {}
 
@@ -145,7 +132,7 @@ class QuantumRegister:
         1/4 exactly. It draws nothing, changes no component, and raises the
         ValueErrors bell_measure raises.
         """
-        scratch = QuantumRegister()
+        scratch = QuantumRegister(0)
         scratch.rng = SimpleNamespace(random=iter((0.125, 0.375, 0.625, 0.875)).__next__)
         weights = dict.fromkeys(BELL_ORDER, 0.0)
         for _ in range(4):
@@ -210,11 +197,13 @@ class QuantumRegister:
 
     # -- introspection ---------------------------------------------------
 
-    def component_snapshot(self, q: int) -> tuple[tuple[int, ...], tuple[complex, ...]]:
-        """The qubits of the component containing q and its amplitude vector."""
+    def component_snapshot(self, q: int) -> tuple[tuple[int, ...], int | BellState]:
+        """The component containing q as the state it stores: ((q,), bit) for
+        a basis qubit, ((lo, hi), BellState) for a pair."""
         p, label = self._component(q)
-        qubits = (q,) if p == q else (q, p) if q < p else (p, q)
-        return qubits, _SNAPSHOTS[len(qubits)][label]
+        if p == q:
+            return (q,), label
+        return (min(p, q), max(p, q)), BELL_ORDER[label]
 
     def live_qubits(self) -> list[int]:
         return sorted(self._comp_of)

@@ -5,9 +5,10 @@ convention, sampling order, and one-uniform-per-measurement RNG discipline as
 the component engine, so that outcome probabilities can be compared per step
 and sampled outcomes agree exactly under identical random streams.
 
-The oracle states the Bell vectors itself: each is (I ⊗ X^x Z^z)|Φ+> for its
-BELL_ORDER index 2x + z, built with the oracle's own Pauli matrices, so it
-shares no amplitude table with the engine.
+The oracle states the only amplitudes in the project: each Bell vector is
+(I ⊗ X^x Z^z)|Φ+> for its BELL_ORDER index 2x + z, built with the oracle's
+own Pauli matrices. The engine stores labels, and `snapshot_amplitudes` reads
+its component snapshots through these vectors and the two basis vectors.
 """
 
 from __future__ import annotations
@@ -49,6 +50,15 @@ def _bell_vector(label: int) -> tuple:
 
 
 BELL_VECTORS = {bs: _bell_vector(label) for label, bs in enumerate(BELL_ORDER)}
+_BASIS_VECTORS = ((1.0, 0.0), (0.0, 1.0))
+
+
+def snapshot_amplitudes(snapshot) -> tuple:
+    """An engine component snapshot, ((q,), bit) or ((lo, hi), BellState), as
+    (qubits, amplitude vector); the lower id owns the most significant bit."""
+    qubits, state = snapshot
+    vector = _BASIS_VECTORS[state] if len(qubits) == 1 else BELL_VECTORS[state]
+    return qubits, tuple(map(complex, vector))
 
 
 class DenseRegister:

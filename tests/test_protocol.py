@@ -78,10 +78,14 @@ def test_prepare_key_length_mismatch():
 
 
 def test_prepare_randomization_needs_k2():
+    # and measure-resend refuses one, which it would silently ignore
     rng = Random(4)
     keys = gen_keys(16, rng, include_k2=False)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="randomization variant needs k2"):
         alice_prepare(random_bits(2, rng), keys, QuantumRegister(0), Variant.RANDOMIZATION)
+    m, keys = random_bits(2, rng), gen_keys(16, Random(4))
+    with pytest.raises(ValueError, match="measure-resend variant takes no k2"):
+        run_session(Variant.MEASURE_RESEND, m, keys, AttackStrategy(), 7)
 
 
 # -- randomization variant ---------------------------------------------------------

@@ -2,8 +2,9 @@
 alone: numpy and other packages may be installed where the tests run, so an
 import of one would pass every other test. Only `keys` copies CPython's
 random draws. Every session, of a run or of a document, runs through
-`harness.run_trial`. One helper turns a ValueError into a ConfigError. And
-the command line declares the flags that name an experiment once."""
+`harness.run_trial`. One helper turns a ValueError into a ConfigError. The
+command line declares the flags that name an experiment once. And the engine
+holds labels, not amplitudes."""
 
 import ast
 import sys
@@ -120,3 +121,16 @@ def test_cli_names_an_experiment_once():
     ]
     assert len(built) == 1
     assert [flags.count(flag) for flag in ("--attack", "--attack-param", "--n")] == [1, 1, 1]
+
+
+def test_package_holds_no_amplitudes():
+    # Every state the protocols reach is a label; the amplitudes those labels
+    # stand for are written once, in the tests' dense oracle.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Constant) and isinstance(node.value, complex)
+        or "complex" in (getattr(node, "id", None), getattr(node, "attr", None))
+    ]
+    assert found == []
