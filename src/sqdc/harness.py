@@ -20,7 +20,7 @@ from . import __version__
 from .adversary import ATTACKS
 from .codec import HASH_NAME, hex_to_bits
 from .keys import KeyMaterial, check_n, gen_keys, random_bits
-from .protocol import DetectionCause, Variant, run_session
+from .protocol import ALICE_ACCEPTS, DetectionCause, Variant, check_keys, run_session
 
 WILSON_Z_99 = 2.5758293035489004
 
@@ -139,7 +139,7 @@ def run_experiment(config: ExperimentConfig) -> DetectionStats:
 
     t = config.trials
     detections = t - counts[DetectionCause.NONE.value]
-    alice_accepts = counts[DetectionCause.NONE.value] + counts[DetectionCause.HASH_MISMATCH.value]
+    alice_accepts = sum(counts[cause.value] for cause in ALICE_ACCEPTS)
     analytic, formula = config.analytic()
     return DetectionStats(
         trials=t,
@@ -253,12 +253,9 @@ def load_session_config(text: str) -> tuple[ExperimentConfig, KeyMaterial]:
     config.validate()
     if config.message is None:  # random per trial in a run; a document needs one
         raise ConfigError("message: a session config needs a hex string, got None")
-    k2 = doc.get("k2")
-    if k2 is not None and variant is Variant.MEASURE_RESEND:
-        raise ConfigError(f"session config key 'k2' must be null for measure-resend, got {k2!r}")
     k1 = tuple(_checked("k1", hex_to_bits, doc["k1"], n))
+    k2 = doc.get("k2")
     k2 = tuple(_checked("k2", hex_to_bits, k2, n // 2)) if k2 is not None else None
     keys = _checked("", KeyMaterial, k1, k2)
-    if keys.k2 is None and variant is Variant.RANDOMIZATION:
-        raise ConfigError("the randomization variant needs k2")
+    _checked("k2", check_keys, variant, keys)
     return config, keys

@@ -5,6 +5,7 @@ Bob Z-measures the message qubits and reflects the checking qubits reordered
 by k2, Alice Bell-verifies the reflection. Measure-resend: Bob either measures
 and resends (SHARE) or reflects (CHECK) each position per k1, and Alice
 additionally Bell-measures the returned message pairs to flag reflectors.
+Both share Bob's reading of a block; only randomization holds a k2.
 
 A run never short-circuits on Bob's verdict: both verdicts are always
 produced so detection statistics stay well defined per trial. Retry loops
@@ -41,6 +42,10 @@ class DetectionCause(Enum):
     REFLECT_FLAG = "reflect_flag"
 
 
+# the causes under which Alice's checks passed; a hash mismatch is Bob's rejection alone
+ALICE_ACCEPTS = (DetectionCause.NONE, DetectionCause.HASH_MISMATCH)
+
+
 @dataclass
 class AliceSession:
     keys: KeyMaterial
@@ -59,12 +64,18 @@ class RunOutcome:
 
     @property
     def alice_accepts(self) -> bool:
-        """Alice's checks passed; a hash mismatch is Bob's rejection alone."""
-        return self.detection_cause in (DetectionCause.NONE, DetectionCause.HASH_MISMATCH)
+        return self.detection_cause in ALICE_ACCEPTS
 
     @property
     def detected(self) -> bool:
         return self.detection_cause is not DetectionCause.NONE
+
+
+def check_keys(variant: Variant, keys: KeyMaterial) -> None:
+    """Raise ValueError unless keys hold a k2 just where the variant uses one."""
+    if (keys.k2 is None) == (variant is Variant.RANDOMIZATION):
+        need = "needs" if keys.k2 is None else "takes no"
+        raise ValueError(f"the {variant.value} variant {need} k2")
 
 
 def alice_prepare(m, keys: KeyMaterial, register: QuantumRegister, variant: Variant):
@@ -76,9 +87,7 @@ def alice_prepare(m, keys: KeyMaterial, register: QuantumRegister, variant: Vari
     n = 8 * len(m)
     if len(keys.k1) != n:
         raise ValueError(f"k1 must have {n} bits for a {len(m)}-bit message")
-    if (keys.k2 is None) == (variant is Variant.RANDOMIZATION):
-        need = "needs" if keys.k2 is None else "takes no"
-        raise ValueError(f"the {variant.value} variant {need} k2")
+    check_keys(variant, keys)
 
     block = build_block(m)  # n/4 bits
     # allocating draws nothing, so drawing the checking states first keeps the
@@ -99,8 +108,7 @@ def bob_randomization_step2(q_seq, keys: KeyMaterial, register: QuantumRegister)
 
     Returns (verdict, decoded message, checking qubits in k1 order).
     """
-    s_qubits, cb_qubits = deinterleave(q_seq, keys)
-    ok, m_decoded = _decode_block(register.measure_z(*s_qubits))
+    ok, m_decoded, _, cb_qubits = _read_block(q_seq, keys, register)
     return ok, m_decoded, cb_qubits
 
 
@@ -124,15 +132,12 @@ def alice_randomization_step4(returned, session: AliceSession, register: Quantum
 
 
 def bob_measure_resend_step23(q_seq, keys: KeyMaterial, register: QuantumRegister):
-    """Steps 2*/3*: split by k1, Z-measure the SHARE qubits, decode and
-    verify; resend a fresh qubit in each observed state and reflect the CHECK
-    qubits untouched, merged by k1 again.
+    """Steps 2*/3*: read the block as in step 2, resend a fresh qubit in each
+    observed SHARE state and reflect the CHECK qubits untouched, merged by k1.
 
     Returns (verdict, decoded message, returned sequence of length n).
     """
-    s_qubits, cb_qubits = deinterleave(q_seq, keys)
-    results = register.measure_z(*s_qubits)
-    ok, m_decoded = _decode_block(results)
+    ok, m_decoded, results, cb_qubits = _read_block(q_seq, keys, register)
     alloc_qubit = register.alloc_qubit
     return ok, m_decoded, interleave([alloc_qubit(b) for b in results], cb_qubits, keys)
 
@@ -168,11 +173,14 @@ def _check_pairs(session: AliceSession, returned, register: QuantumRegister):
     ]
 
 
-def _decode_block(results):
-    """Decode Bob's Z outcomes pairwise into block bits (each the XOR of its
-    pair's outcomes) and verify the checksum. Returns (verdict, decoded
-    message)."""
-    return verify_block(list(map(xor, results[::2], results[1::2])))
+def _read_block(q_seq, keys: KeyMaterial, register: QuantumRegister):
+    """Bob's reading of a block in both variants: split by k1, Z-measure the
+    message qubits, XOR each pair's outcomes into a block bit and verify the
+    checksum. Returns (verdict, decoded message, Z outcomes, checking qubits)."""
+    s_qubits, cb_qubits = deinterleave(q_seq, keys)
+    results = register.measure_z(*s_qubits)
+    ok, m_decoded = verify_block(list(map(xor, results[::2], results[1::2])))
+    return ok, m_decoded, results, cb_qubits
 
 
 # -- orchestration -------------------------------------------------------------

@@ -34,9 +34,10 @@ from types import SimpleNamespace
 
 
 class Pauli(Enum):
-    X = "X"
-    Z = "Z"
-    IY = "iY"
+    # each operator Z^pz X^px, valued (px, pz); iY = ZX maps |0> -> -|1>, |1> -> |0>
+    X = (1, 0)
+    Z = (0, 1)
+    IY = (1, 1)
 
 
 class BellState(Enum):
@@ -46,20 +47,13 @@ class BellState(Enum):
     PSI_MINUS = "psi-"
 
 
-# Fixed outcome order; index 2x + z is the state (I ⊗ X^x Z^z)|Φ+>. A Bell
-# outcome is read off one uniform u in closed form, a step function of u with
-# steps at multiples of 1/4, so every weight is 0, 1/4, 1/2 or 1 and the
-# outcome equals the inverse CDF over this order: an external oracle sampling
-# that inverse CDF replays the same outcomes from one stream.
-BELL_ORDER = (
-    BellState.PHI_PLUS,
-    BellState.PHI_MINUS,
-    BellState.PSI_PLUS,
-    BellState.PSI_MINUS,
-)
+# Fixed outcome order, as BellState declares it; index 2x + z is the state
+# (I ⊗ X^x Z^z)|Φ+>. A Bell outcome is read off one uniform u in closed form, a
+# step function of u with steps at multiples of 1/4, so every weight is 0, 1/4,
+# 1/2 or 1 and the outcome equals the inverse CDF over this order: an external
+# oracle sampling that inverse CDF replays the same outcomes from one stream.
+BELL_ORDER = tuple(BellState)
 
-# Each operator as Z^pz X^px, as (px, pz); iY = ZX maps |0> -> -|1>, |1> -> |0>.
-_PAULI_XZ = {Pauli.X: (1, 0), Pauli.Z: (0, 1), Pauli.IY: (1, 1)}
 
 class QuantumRegister:
     """Collection of qubits partitioned into basis qubits and Bell pairs.
@@ -189,7 +183,7 @@ class QuantumRegister:
         """
         if not isinstance(op, Pauli):
             raise ValueError(f"op must be a Pauli, got {op!r}")
-        px, pz = _PAULI_XZ[op]
+        px, pz = op.value
         p, label = self._component(q)
         label ^= px if p == q else 2 * px + pz
         self._comp_of[q] = (p, label)

@@ -26,8 +26,8 @@ from sqdc.harness import (
     trial_seeds,
     wilson_interval,
 )
-from sqdc.keys import gen_keys, random_bits
-from sqdc.protocol import DetectionCause, Variant
+from sqdc.keys import KeyMaterial, gen_keys, random_bits
+from sqdc.protocol import DetectionCause, Variant, alice_prepare
 from sqdc.qsim import QuantumRegister
 from dense_oracle import snapshot_amplitudes
 
@@ -621,20 +621,32 @@ def test_session_config_parsing_errors():
         # present but falsy: not a missing k2
         ("k2", {"k2": ""}),
         ("k2", {"k2": 0}),
+        # a non-null k2 on measure-resend, which the run would drop
+        ("k2", {"variant": "measure-resend"}),
     ):
         doc, _ = session_doc(**overrides)
         with pytest.raises(ConfigError, match=f"^{key}: "):
             run_document(doc)
-    # what a document says but the run would ignore is rejected by name: an
-    # unknown key (this one would run an honest session) and a non-null k2 on
-    # measure-resend (it would be dropped)
-    for key, overrides in (
-        ("atack", {"atack": "intercept_resend"}),
-        ("k2", {"variant": "measure-resend"}),
-    ):
-        doc, _ = session_doc(**overrides)
-        with pytest.raises(ConfigError, match=f"'{key}'"):
-            run_document(doc)
+    # an unknown key, which the run would ignore (this one would run an honest
+    # session), is rejected by name
+    doc, _ = session_doc(atack="intercept_resend")
+    with pytest.raises(ConfigError, match="'atack'"):
+        run_document(doc)
+
+
+@pytest.mark.parametrize("variant", Variant)
+def test_misfit_k2_has_one_text(variant):
+    # a measure-resend document that carries a k2, or a randomization one
+    # without: the document fails with alice_prepare's text, under its key
+    doc, m = session_doc(variant=variant.value)
+    keys = gen_keys(16, Random(5))  # the document's keys, drawn as session_doc draws them
+    if variant is Variant.RANDOMIZATION:
+        doc["k2"], keys = None, KeyMaterial(keys.k1)
+    with pytest.raises(ValueError) as from_api:
+        alice_prepare(m, keys, QuantumRegister(0), variant)
+    with pytest.raises(ConfigError) as from_doc:
+        run_document(doc)
+    assert str(from_doc.value) == f"k2: {from_api.value}"
 
 
 @pytest.mark.parametrize(
