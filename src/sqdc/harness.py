@@ -112,7 +112,7 @@ def run_trial(config: ExperimentConfig, index: int, keys: KeyMaterial | None = N
     rng_seed, register_seed = trial_seeds(config.seed, index)
     rng = Random(rng_seed)
     if keys is None:
-        keys = gen_keys(config.n, rng, include_k2=config.variant is Variant.RANDOMIZATION)
+        keys = gen_keys(config.n, rng, include_k2=config.variant.holds_k2)
     if config.message is not None:
         m = hex_to_bits(config.message, config.n // 8)
     else:

@@ -34,6 +34,10 @@ class Variant(Enum):
     RANDOMIZATION = "randomization"
     MEASURE_RESEND = "measure-resend"
 
+    @property
+    def holds_k2(self) -> bool:  # only randomization reorders by a k2
+        return self is Variant.RANDOMIZATION
+
 
 class DetectionCause(Enum):
     NONE = "none"
@@ -73,7 +77,7 @@ class RunOutcome:
 
 def check_keys(variant: Variant, keys: KeyMaterial) -> None:
     """Raise ValueError unless keys hold a k2 just where the variant uses one."""
-    if (keys.k2 is None) == (variant is Variant.RANDOMIZATION):
+    if (keys.k2 is None) == variant.holds_k2:
         need = "needs" if keys.k2 is None else "takes no"
         raise ValueError(f"the {variant.value} variant {need} k2")
 

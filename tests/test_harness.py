@@ -1,9 +1,7 @@
 """Tests for the Monte Carlo harness, reporting, and the CLI."""
 
 import csv
-import hashlib
 import io
-import itertools
 import json
 from dataclasses import fields
 from pathlib import Path
@@ -11,12 +9,10 @@ from random import Random
 
 import pytest
 
-import sqdc.protocol
 from sqdc.cli import OUTPUT_DIR_ENV, main
 from sqdc.codec import bits_to_hex
 from sqdc.harness import (
     ConfigError,
-    DetectionStats,
     ExperimentConfig,
     emit_report,
     report_dict,
@@ -29,19 +25,7 @@ from sqdc.harness import (
 from sqdc.keys import KeyMaterial, gen_keys, random_bits
 from sqdc.protocol import DetectionCause, Variant, alice_prepare
 from sqdc.qsim import QuantumRegister
-from dense_oracle import snapshot_amplitudes
-
-
-def make_config(**overrides):
-    base = dict(
-        variant=Variant.RANDOMIZATION,
-        attack="no_attack",
-        n=16,
-        trials=50,
-        seed=1,
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
+from pins import make_config, run_document, session_doc
 
 
 # -- Wilson intervals --------------------------------------------------------------
@@ -291,224 +275,6 @@ def test_csv_report_round_trip():
     assert counts == 100
 
 
-# SHA-256 of the JSON and CSV reports of a few configs. Reports must be
-# reproducible byte for byte, so a change to these digests must be deliberate.
-GOLDEN_REPORTS = [
-    (
-        dict(n=32, trials=40, seed=1, message="a"),
-        "b8b0f57a86e29a60cc258d69e0aad89fa7eff63ebf3ff64907b4cf772ace7aff",
-        "22e1931cb8907fd6540e0cca80ebed0b2b8c830f059e6360a12e8fd44ea62b35",
-    ),
-    (
-        dict(variant=Variant.MEASURE_RESEND, attack="impersonate_alice", trials=40, seed=7),
-        "f2d0f76f35c8a6d0115920c318c46df651663a2c2e36e8687b6a38ce84157a5e",
-        "00c5e7fbdc4b741fd68ecf883318205c77fee9157ff51cc3f0f1d83646055deb",
-    ),
-    (
-        dict(attack="modify_single", attack_params={"target": "s_msg"}, trials=60, seed=5),
-        "f102b28a328a89a3f3c0f5f691a380d752749d05a0487f067fa2fc4a70f84094",
-        "f3335367b7c5266a9ecfeabd94fb61e4d4c7ff158232154547fa0ae9c3174520",
-    ),
-    (
-        dict(attack="impersonate_bob", attack_params={"mode": "concrete"}, trials=30, seed=3),
-        "8c73c2d01efb95648e09ad1e9122c14d1b9753bb0737b07aaafbc58e26d856d6",
-        "d9c71178efa62c847d520b4376b1af4020039fb844ece07de1777ca0a69dffe8",
-    ),
-    (
-        dict(
-            variant=Variant.MEASURE_RESEND,
-            attack="modify_single",
-            attack_params={"target": 3},
-            trials=30,
-            seed=11,
-            message="f",
-        ),
-        "9998b375fe38a4075a27d35b144f7d1d15e7d608523c68b1e7357df69afa0a1e",
-        "30c446f9e4ead48682bab9d2fa8ef98494676229972d061ead66c3f7ec98b047",
-    ),
-    (
-        dict(variant=Variant.MEASURE_RESEND, attack="reflect_all", n=24, trials=30, seed=9),
-        "404eaa0b77201cfa6cd1f939ab85d0c039fce491833bfa34cbee9a39bb96f148",
-        "1137a367412453caba7fb439639086effed84a8c01c0bfc5c64c1629e733fcac",
-    ),
-    (
-        dict(attack="intercept_resend", n=64, trials=40, seed=13),
-        "d18cb99dbc574328596800ba7b9708d21d766660f4c0c922bdd96876a1d68681",
-        "ee496dfe43d20ed82a34954b64c7253ea00a8606211fa029013b6a1fb802bbec",
-    ),
-    (
-        dict(attack="impersonate_bob", attack_params={"mode": "idealized"}, n=64, trials=40, seed=17),
-        "7bf85baf7ab6f9601f752afc10e8dcca7d2e09a643a0d17ef03eec13a4cf0ad2",
-        "0efed67692ae32149cc61cdb1133f8e07d7b93e0d59dfde0a3d5ddc6f6fa7414",
-    ),
-    (
-        dict(variant=Variant.MEASURE_RESEND, n=256, trials=20, seed=19),
-        "de2ed0e7e4dbe68b3b22037cc930702213d574a21ade8a4d9b6ef9717eca3cbf",
-        "83da2238474e56bda79e088f0144249fe4927e268ef6c67996352920106d10d5",
-    ),
-]
-
-
-@pytest.mark.parametrize(
-    "overrides, json_sha, csv_sha",
-    GOLDEN_REPORTS,
-    ids=[
-        "fixed-message", "no-closed-form", "s_msg", "concrete", "position-target", "reflect-all",
-        "intercept-n64", "idealized-bob-n64", "measure-resend-n256",
-    ],
-)
-def test_report_bytes_pinned(overrides, json_sha, csv_sha):
-    stats = run_experiment(make_config(**overrides))
-    for fmt, expected in (("json", json_sha), ("csv", csv_sha)):
-        assert hashlib.sha256(emit_report(stats, fmt).encode()).hexdigest() == expected
-
-
-# The benchmark matrix: both variants x these attack settings x n in {16, 64,
-# 256}. A refactor is done when its reports are byte-identical, so one SHA-256
-# over all of them is pinned; a config that raises hashes its exception type
-# and text instead (reflect_all on randomization is rejected), so a change to
-# either is a deliberate re-pin.
-MATRIX_ATTACKS = [
-    ("no_attack", {}),
-    ("impersonate_alice", {}),
-    ("impersonate_bob", {"mode": "idealized"}),
-    ("impersonate_bob", {"mode": "concrete"}),
-    ("intercept_resend", {}),
-    ("reflect_all", {}),
-    *(("modify_single", {"target": t}) for t in ("random", "s", "c", "s_msg", 3)),
-]
-MATRIX_SHA = "ba2dc2f2037da8016554460cd40f99ac7afe00b589d7869366d983fe6fbdb5b2"
-
-
-def test_matrix_report_bytes_pinned():
-    digest = hashlib.sha256()
-    for variant, (attack, params), n in itertools.product(
-        Variant, MATRIX_ATTACKS, (16, 64, 256)
-    ):
-        config = make_config(
-            variant=variant, attack=attack, attack_params=params, n=n, trials=24, seed=41
-        )
-        try:
-            stats = run_experiment(config)
-        except ValueError as exc:  # ConfigError included
-            digest.update(f"{type(exc).__name__}: {exc};".encode())
-            continue
-        for fmt in ("json", "csv"):
-            digest.update(emit_report(stats, fmt).encode())
-    assert digest.hexdigest() == MATRIX_SHA
-
-
-# One SHA-256 over the exit code, stdout and stderr of `sqdc analytic` for
-# both variants x MATRIX_ATTACKS x n in {3, 16, 64, 4096}; n = 3 and 4096 and
-# reflect_all on randomization exit 2, so their error lines are pinned too.
-ANALYTIC_OUTPUTS_SHA = "798a1d7bfb76375220e0b0916bdb35a8bca5f41d0f4cc9b020c1f782f3591937"
-
-
-def test_analytic_outputs_pinned(capsys):
-    digest = hashlib.sha256()
-    for variant, (attack, params), n in itertools.product(
-        Variant, MATRIX_ATTACKS, (3, 16, 64, 4096)
-    ):
-        argv = ["analytic", "--variant", variant.value, "--attack", attack, "--n", str(n)]
-        argv += [f"--attack-param={k}={v}" for k, v in params.items()]
-        code = main(argv)
-        captured = capsys.readouterr()
-        digest.update(f"{code}|{captured.out}|{captured.err};".encode())
-    assert digest.hexdigest() == ANALYTIC_OUTPUTS_SHA
-
-
-# SHA-256 over every measurement (call and outcome) of an experiment, then
-# over each session's final register components, a pair's qubits in ascending
-# id order. The report pins above n = 16 read saturated detection rates, so
-# they would miss an engine change that keeps every verdict; this stream moves
-# with the engine state, including the partner left by teleportation
-# (idealized Bob) or entanglement swapping (concrete Bob), and the label an iY
-# leaves on a transmitted qubit (modify_single).
-ENGINE_STREAMS = [
-    (
-        dict(attack="intercept_resend", n=64, trials=40, seed=13),
-        "d90131a92622123784ed8828849200065f0244fc94bd58991033069e359556a1",
-    ),
-    (
-        dict(attack="impersonate_bob", attack_params={"mode": "idealized"}, n=64, trials=40, seed=17),
-        "0b51933d112d9481833c6d899ee5c71651aff1443dfdf3b2953585bc705f1f82",
-    ),
-    (
-        dict(variant=Variant.MEASURE_RESEND, n=256, trials=20, seed=19),
-        "262eeabc46d7666cd4e928759c20a1450417a68c8f5e9cf064237abcb7497635",
-    ),
-    (
-        dict(attack="impersonate_bob", attack_params={"mode": "concrete"}, n=64, trials=20, seed=23),
-        "5c93adcd9580d403d343979bf1053184b5c17bdb817e4ff1889c934c4ab84d0e",
-    ),
-    (
-        dict(attack="modify_single", attack_params={"target": "c"}, n=64, trials=40, seed=29),
-        "f93278080ff0883526a99149bd3a4cf3768b39f96dc75f798c7fe9615e854dcf",
-    ),
-    (
-        dict(
-            variant=Variant.MEASURE_RESEND,
-            attack="modify_single",
-            attack_params={"target": "random"},
-            n=64,
-            trials=40,
-            seed=31,
-        ),
-        "7ae2001b8cbfe44acb0bdeb8dcae60a2cb6e6e14076200eb72dacc0a651ffdb6",
-    ),
-    (
-        dict(attack="impersonate_alice", n=64, trials=40, seed=37),
-        "3ba3a78ade01b3ea9ea59ad3f18f622639fab7c391babbe4df5d7c874ad51929",
-    ),
-    (
-        dict(variant=Variant.MEASURE_RESEND, attack="impersonate_alice", n=64, trials=40, seed=41),
-        "7ffd452227fcf788f3afa3efd28a7bc77ab3707eb9a875b3073ee15d97def7e3",
-    ),
-    (
-        dict(n=256, trials=20, seed=43),
-        "e0eafa2df65bcbb7b69bcd9cef913dd04cbf2e4338c827b76caca416b8aafb98",
-    ),
-]
-
-
-@pytest.mark.parametrize(
-    "overrides, expected",
-    ENGINE_STREAMS,
-    ids=[
-        "intercept-n64", "idealized-bob-n64", "measure-resend-n256", "concrete-bob-n64",
-        "modify-c-n64", "measure-resend-modify-random-n64", "impersonate-alice-n64",
-        "measure-resend-impersonate-alice-n64", "honest-n256",
-    ],
-)
-def test_engine_stream_pinned(monkeypatch, overrides, expected):
-    digest = hashlib.sha256()
-    registers = []
-
-    class Recording(QuantumRegister):
-        def __init__(self, seed):
-            super().__init__(seed)
-            registers.append(self)
-
-        def measure_z(self, *qubits):
-            outcomes = super().measure_z(*qubits)
-            for q, o in zip(qubits, outcomes):  # one entry per qubit, as successive calls
-                digest.update(f"measure_z {(q,)} {o};".encode())
-            return outcomes
-
-        def bell_measure(self, *args):
-            outcome = super().bell_measure(*args)
-            digest.update(f"bell_measure {args} {outcome};".encode())
-            return outcome
-
-    monkeypatch.setattr(sqdc.protocol, "QuantumRegister", Recording)
-    run_experiment(make_config(**overrides))
-    assert len(registers) == overrides["trials"]
-    for register in registers:
-        for q in register.live_qubits():
-            digest.update(f"{q} {snapshot_amplitudes(register.component_snapshot(q))};".encode())
-    assert digest.hexdigest() == expected
-
-
 def test_emit_report_bad_format():
     stats = run_experiment(make_config(trials=5))
     with pytest.raises(ConfigError):
@@ -516,28 +282,6 @@ def test_emit_report_bad_format():
 
 
 # -- single-session configuration documents ---------------------------------------
-
-
-def session_doc(seed=5, size=16, **overrides):
-    rng = Random(seed)
-    keys = gen_keys(size, rng)
-    m = random_bits(size // 8, rng)
-    doc = {
-        "variant": "randomization",
-        "n": size,
-        "message": bits_to_hex(m),
-        "k1": bits_to_hex(list(keys.k1)),
-        "k2": bits_to_hex(list(keys.k2)),
-        "seed": seed,
-    }
-    doc.update(overrides)
-    return doc, m
-
-
-def run_document(doc):
-    """Load a session document from its JSON text and run it as trial 0."""
-    config, keys = load_session_config(json.dumps(doc))
-    return run_trial(config, 0, keys)
 
 
 def test_session_from_config_honest():
@@ -679,41 +423,6 @@ def test_session_document_shares_run_validator(field, value):
 def test_max_n_runs_one_trial():
     stats = run_experiment(make_config(n=2048, trials=1))
     assert stats.cause_counts["none"] == 1
-
-
-def document_transcript(doc) -> str:
-    """One session document's outcome, or its exception type and text."""
-    try:
-        outcome = run_document(doc)
-    except ValueError as exc:  # ConfigError included
-        return f"{type(exc).__name__}: {exc};"
-    decoded = outcome.decoded_message
-    decoded = None if decoded is None else bits_to_hex(decoded)
-    return (
-        f"{outcome.bob_accepts},{outcome.alice_accepts},{decoded},"
-        f"{outcome.detection_cause.value},{outcome.security_event};"
-    )
-
-
-# One SHA-256 over the documents of the matrix's attack settings: both
-# variants x MATRIX_ATTACKS x n in {16, 64} x seeds 1-3, keys and message drawn
-# as session_doc draws them (k2 null on measure-resend). reflect_all on
-# randomization raises ConfigError, whose text is hashed, so a change to it is
-# a deliberate re-pin.
-SESSION_TRANSCRIPTS_SHA = "bbeee5ffe860dbfc8d9cd01e3121e9ca450d015d4c2dfd5c45a4b32fd2fc6518"
-
-
-def test_session_transcripts_pinned():
-    digest = hashlib.sha256()
-    for variant, (attack, params), size, seed in itertools.product(
-        Variant, MATRIX_ATTACKS, (16, 64), (1, 2, 3)
-    ):
-        overrides = dict(variant=variant.value, attack=attack, attack_params=params)
-        if variant is Variant.MEASURE_RESEND:
-            overrides["k2"] = None
-        doc, _ = session_doc(seed, size, **overrides)
-        digest.update(document_transcript(doc).encode())
-    assert digest.hexdigest() == SESSION_TRANSCRIPTS_SHA
 
 
 # -- CLI ------------------------------------------------------------------------

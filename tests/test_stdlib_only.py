@@ -3,7 +3,7 @@ alone: numpy and other packages may be installed where the tests run, so an
 import of one would pass every other test. Only `keys` copies CPython's
 random draws. Every session, of a run or of a document, runs through
 `harness.run_trial`. One helper turns a ValueError into a ConfigError. One
-function states which variant takes a k2. The command line declares the flags
+property states which variant takes a k2. The command line declares the flags
 that name an experiment once. And the engine holds labels, not amplitudes."""
 
 import ast
@@ -91,24 +91,32 @@ def test_only_keys_walks_k1():
 
 
 def test_only_check_keys_tests_k2_against_none():
-    # `protocol.check_keys` is the one k2-against-variant rule; a second
-    # `.k2 is None` test elsewhere would be a copy free to drift from it.
+    # `protocol.check_keys` is the one k2-against-variant rule, and
+    # `Variant.holds_k2` the one statement of which variant holds a k2. A
+    # second `.k2 is None` test, or a Variant member compared on a line or in
+    # a function that names k2, would be a copy free to drift from them.
     # `keys.KeyMaterial` checks a present k2's shape, not the variant.
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "keys.py":
             continue
-        tree = ast.parse(path.read_text(), str(path))
+        lines = path.read_text().splitlines()
+        tree = ast.parse("\n".join(lines), str(path))
         owner = owners(tree)
         for node in ast.walk(tree):
             if not isinstance(node, ast.Compare):
                 continue
+            site = (f"{path.name}::{owner.get(id(node))}", node.lineno)
             operands = [node.left, *node.comparators]
             if any(getattr(o, "attr", None) == "k2" for o in operands) and any(
                 isinstance(o, ast.Constant) and o.value is None for o in operands
             ):
-                found.append((f"{path.name}::{owner.get(id(node))}", node.lineno))
-    assert {site for site, _ in found} == {"protocol.py::check_keys"}, found
+                found.append(site)
+            if "k2" in site[0] + lines[node.lineno - 1] and any(
+                getattr(getattr(o, "value", None), "id", None) == "Variant" for o in operands
+            ):
+                found.append(site)
+    assert {site for site, _ in found} == {"protocol.py::check_keys", "protocol.py::holds_k2"}, found
 
 
 def test_sessions_run_only_through_run_trial():
