@@ -1,9 +1,9 @@
 """Monte Carlo experiment runner, analytic references, and report emission.
 
-Each trial owns its own register, keys, message, and strategy instance, all
-derived deterministically from (base seed, trial index), so any report can be
-regenerated bit-for-bit from its embedded configuration. A single-session
-document runs through the same `run_trial`, as trial 0 with its own keys.
+`run_trial` builds each trial's register, keys, message and strategy instance
+from (base seed, trial index), so a report regenerates bit-for-bit from its
+configuration, and its `register=` takes a QuantumRegister subclass that
+observes the trial. A session document runs as trial 0 with its own keys.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .adversary import ATTACKS
 from .codec import HASH_NAME, hex_to_bits
 from .keys import KeyMaterial, check_n, gen_keys, random_bits
 from .protocol import ALICE_ACCEPTS, DetectionCause, Variant, check_keys, run_session
+from .qsim import QuantumRegister
 
 WILSON_Z_99 = 2.5758293035489004
 
@@ -107,9 +108,13 @@ def trial_seeds(base_seed: int, index: int) -> tuple[int, int]:
     return int.from_bytes(digest[:8], "big"), int.from_bytes(digest[8:16], "big")
 
 
-def run_trial(config: ExperimentConfig, index: int, keys: KeyMaterial | None = None):
-    """Run trial `index` of a configuration; given keys are used, not drawn."""
+def run_trial(
+    config: ExperimentConfig, index: int, keys: KeyMaterial | None = None, *, register=QuantumRegister
+):
+    """Run trial `index` of a configuration; given keys are used, not drawn. Its
+    register is `register(its seed)`: pass a QuantumRegister subclass to observe it."""
     rng_seed, register_seed = trial_seeds(config.seed, index)
+    trial_register = register(register_seed)
     rng = Random(rng_seed)
     if keys is None:
         keys = gen_keys(config.n, rng, include_k2=config.variant.holds_k2)
@@ -118,7 +123,7 @@ def run_trial(config: ExperimentConfig, index: int, keys: KeyMaterial | None = N
     else:
         m = random_bits(config.n // 8, rng)
     attack = ATTACKS[config.attack].build(config.attack_params, rng, keys, config.variant)
-    return run_session(config.variant, m, keys, attack, register_seed)
+    return run_session(config.variant, m, keys, attack, trial_register)
 
 
 def run_experiment(config: ExperimentConfig) -> DetectionStats:

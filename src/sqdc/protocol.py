@@ -190,13 +190,12 @@ def _read_block(q_seq, keys: KeyMaterial, register: QuantumRegister):
 # -- orchestration -------------------------------------------------------------
 
 
-def run_session(variant: Variant, m, keys: KeyMaterial, attack, seed) -> RunOutcome:
+def run_session(variant: Variant, m, keys: KeyMaterial, attack, register: QuantumRegister):
     """One full protocol execution with adversary tamper hooks.
 
     Flow: prepare -> forward tamper -> Bob -> backward tamper -> Alice verify.
-    Deterministic for a given seed.
+    Runs on the register it is given, which draws every measurement outcome.
     """
-    register = QuantumRegister(seed)
     session, q_seq = alice_prepare(m, keys, register, variant)
     q_obs = attack.tamper_forward(register, q_seq)
 

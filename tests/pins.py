@@ -4,7 +4,7 @@ Reports, `sqdc analytic` outputs and session transcripts are pinned as text,
 one file per pin under `tests/golden/`, so a failing test's diff and a re-pin's
 `git diff` show what moved. An engine stream lists every measurement of a run,
 so it is pinned by SHA-256 in `tests/pins.json`. `tests/test_pins.py` checks
-every pin; `PYTHONPATH=src python tests/pins.py` rewrites them all.
+every pin; `python tests/pins.py` rewrites them all from the sources beside it.
 """
 
 import contextlib
@@ -12,20 +12,26 @@ import hashlib
 import io
 import json
 import shutil
+import sys
 from functools import partial
 from itertools import product
 from pathlib import Path
 from random import Random
-from unittest import mock
 
-import sqdc.protocol
-from sqdc.cli import main
-from sqdc.codec import bits_to_hex
-from sqdc.harness import ExperimentConfig, emit_report, load_session_config, run_experiment, run_trial
-from sqdc.keys import gen_keys, random_bits
-from sqdc.protocol import Variant
-from sqdc.qsim import QuantumRegister
-from dense_oracle import snapshot_amplitudes
+# The pins are of the sources beside this file, never of an installed copy.
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
+
+import sqdc  # noqa: E402
+from sqdc.cli import main  # noqa: E402
+from sqdc.codec import bits_to_hex  # noqa: E402
+from sqdc.harness import (  # noqa: E402
+    ExperimentConfig, emit_report, load_session_config, run_experiment, run_trial
+)
+from sqdc.keys import gen_keys, random_bits  # noqa: E402
+from sqdc.protocol import Variant  # noqa: E402
+from sqdc.qsim import QuantumRegister  # noqa: E402
+from dense_oracle import snapshot_amplitudes  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DIGESTS = GOLDEN.parent / "pins.json"
@@ -113,37 +119,47 @@ def session_transcripts() -> str:
     return "".join(lines)
 
 
+class Recording(QuantumRegister):
+    """A register that logs every measurement it makes; each one built is kept,
+    in order, in `Recording.built`."""
+
+    built = []
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.log = []
+        Recording.built.append(self)
+
+    def measure_z(self, *qubits):
+        outcomes = super().measure_z(*qubits)
+        # one entry per qubit, as successive calls
+        self.log += [f"measure_z {(q,)} {o};" for q, o in zip(qubits, outcomes)]
+        return outcomes
+
+    def bell_measure(self, *args):
+        outcome = super().bell_measure(*args)
+        self.log.append(f"bell_measure {args} {outcome};")
+        return outcome
+
+
 def engine_stream(**overrides) -> str:
     """SHA-256 over every measurement of a run, then over each session's final
     register components. Unlike a saturated report, it moves with the engine
     state: the partner left by teleportation (idealized Bob) or entanglement
     swapping (concrete Bob), and the label an iY leaves (modify_single)."""
-    digest = hashlib.sha256()
-    registers = []
-
-    class Recording(QuantumRegister):
-        def __init__(self, seed):
-            super().__init__(seed)
-            registers.append(self)
-
-        def measure_z(self, *qubits):
-            outcomes = super().measure_z(*qubits)
-            for q, o in zip(qubits, outcomes):  # one entry per qubit, as successive calls
-                digest.update(f"measure_z {(q,)} {o};".encode())
-            return outcomes
-
-        def bell_measure(self, *args):
-            outcome = super().bell_measure(*args)
-            digest.update(f"bell_measure {args} {outcome};".encode())
-            return outcome
-
-    with mock.patch.object(sqdc.protocol, "QuantumRegister", Recording):
-        run_experiment(make_config(**overrides))
-    assert len(registers) == overrides["trials"]
-    for register in registers:
-        for q in register.live_qubits():
-            digest.update(f"{q} {snapshot_amplitudes(register.component_snapshot(q))};".encode())
-    return digest.hexdigest()
+    config = make_config(**overrides)
+    config.validate()
+    Recording.built.clear()
+    for i in range(config.trials):  # the trials of run_experiment(config)
+        run_trial(config, i, register=Recording)
+    registers = Recording.built
+    text = [entry for register in registers for entry in register.log]
+    text += [
+        f"{q} {snapshot_amplitudes(register.component_snapshot(q))};"
+        for register in registers
+        for q in register.live_qubits()
+    ]
+    return hashlib.sha256("".join(text).encode()).hexdigest()
 
 
 def attack_of(name, **params):
@@ -212,4 +228,6 @@ def repin():
 
 
 if __name__ == "__main__":
+    if Path(sqdc.__file__).resolve().parent != SRC / "sqdc":
+        raise SystemExit(f"pins: imported sqdc from {sqdc.__file__}, expected {SRC}")
     repin()

@@ -290,9 +290,8 @@ def test_criterion_9_blind_guess_acceptance_exact_oracle():
         k2 = [rng.randrange(2) for _ in range(4)]
         keys = KeyMaterial(k1=tuple(k1), k2=tuple(k2))
         m = random_bits(1, rng)
-        outcome = run_session(
-            Variant.RANDOMIZATION, m, keys, ImpersonateBobConcrete(rng), 1_900_000 + i
-        )
+        attack = ImpersonateBobConcrete(rng)
+        outcome = run_session(Variant.RANDOMIZATION, m, keys, attack, QuantumRegister(1_900_000 + i))
         if outcome.alice_accepts:
             accepts += 1
     low, high = wilson_interval(accepts, trials)

@@ -28,7 +28,8 @@ def run_many(variant, n, attack_factory, trials, base_seed, include_k2=None):
         rng = Random(base_seed + i)
         keys = gen_keys(n, rng, include_k2=include_k2)
         m = random_bits(n // 8, rng)
-        outcomes.append(run_session(variant, m, keys, attack_factory(rng), base_seed * 31 + i))
+        register = QuantumRegister(base_seed * 31 + i)
+        outcomes.append(run_session(variant, m, keys, attack_factory(rng), register))
     return outcomes
 
 
@@ -174,9 +175,8 @@ def test_modify_single_checking_qubit_always_detected():
         keys = gen_keys(16, rng)
         m = random_bits(2, rng)
         c_positions = [j for j, b in enumerate(keys.k1) if b == 1]
-        out = run_session(
-            Variant.RANDOMIZATION, m, keys, ModifySingleQubit(rng.choice(c_positions)), 9000 + i
-        )
+        attack = ModifySingleQubit(rng.choice(c_positions))
+        out = run_session(Variant.RANDOMIZATION, m, keys, attack, QuantumRegister(9000 + i))
         assert out.bob_accepts  # the message stream is untouched
         assert not out.alice_accepts
         assert out.detection_cause is DetectionCause.BELL_CHECK_FAILED
@@ -228,7 +228,7 @@ def test_bypassing_attack_receives_forward_sequence(variant):
     keys = gen_keys(n, rng, include_k2=variant is Variant.RANDOMIZATION)
     # Alice's check needs n/2 returned qubits in randomization, n in measure-resend
     attack = RecordingBypass(n // 2 if variant is Variant.RANDOMIZATION else n)
-    outcome = run_session(variant, random_bits(n // 8, rng), keys, attack, 7)
+    outcome = run_session(variant, random_bits(n // 8, rng), keys, attack, QuantumRegister(7))
     assert len(attack.seen["forward"]) == n
     assert attack.seen["backward"] == attack.seen["forward"][::-1]
     assert outcome.bob_accepts is None and outcome.decoded_message is None

@@ -85,7 +85,7 @@ def test_prepare_randomization_needs_k2():
         alice_prepare(random_bits(2, rng), keys, QuantumRegister(0), Variant.RANDOMIZATION)
     m, keys = random_bits(2, rng), gen_keys(16, Random(4))
     with pytest.raises(ValueError, match="measure-resend variant takes no k2"):
-        run_session(Variant.MEASURE_RESEND, m, keys, AttackStrategy(), 7)
+        run_session(Variant.MEASURE_RESEND, m, keys, AttackStrategy(), QuantumRegister(7))
 
 
 # -- randomization variant ---------------------------------------------------------
@@ -253,7 +253,7 @@ def test_run_session_honest_outcome():
     rng = Random(77)
     keys = gen_keys(16, rng)
     m = random_bits(2, rng)
-    outcome = run_session(Variant.RANDOMIZATION, m, keys, AttackStrategy(), 123)
+    outcome = run_session(Variant.RANDOMIZATION, m, keys, AttackStrategy(), QuantumRegister(123))
     assert outcome.bob_accepts and outcome.alice_accepts
     assert outcome.decoded_message == m
     assert outcome.detection_cause is DetectionCause.NONE
@@ -265,8 +265,8 @@ def test_run_session_deterministic():
     rng = Random(78)
     keys = gen_keys(16, rng)
     m = random_bits(2, rng)
-    a = run_session(Variant.RANDOMIZATION, m, keys, AttackStrategy(), 5)
-    b = run_session(Variant.RANDOMIZATION, m, keys, AttackStrategy(), 5)
+    a = run_session(Variant.RANDOMIZATION, m, keys, AttackStrategy(), QuantumRegister(5))
+    b = run_session(Variant.RANDOMIZATION, m, keys, AttackStrategy(), QuantumRegister(5))
     assert a == b
 
 
@@ -277,7 +277,7 @@ def test_detection_accounting_invariant():
         keys = gen_keys(16, Random(seed))
         m = random_bits(2, Random(seed + 1))
         attack = ModifySingleQubit(rng.randrange(16))
-        out = run_session(Variant.RANDOMIZATION, m, keys, attack, seed)
+        out = run_session(Variant.RANDOMIZATION, m, keys, attack, QuantumRegister(seed))
         both = bool(out.bob_accepts) and out.alice_accepts
         assert (out.detection_cause is DetectionCause.NONE) == both
         if out.security_event:

@@ -2,7 +2,8 @@
 alone: numpy and other packages may be installed where the tests run, so an
 import of one would pass every other test. Only `keys` copies CPython's
 random draws. Every session, of a run or of a document, runs through
-`harness.run_trial`. One helper turns a ValueError into a ConfigError. One
+`harness.run_trial`, which alone builds its register, and no test patches
+sqdc to reach one. One helper turns a ValueError into a ConfigError. One
 property states which variant takes a k2. The command line declares the flags
 that name an experiment once. And the engine holds labels, not amplitudes."""
 
@@ -11,6 +12,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sqdc"
+TESTS = Path(__file__).resolve().parent
 
 
 def owners(tree) -> dict:
@@ -135,6 +137,56 @@ def test_sessions_run_only_through_run_trial():
         "harness.py::run_trial calls run_session",
         "harness.py::run_trial calls trial_seeds",
     ]
+
+
+def test_only_run_trial_builds_a_register():
+    # A trial's register is built from its seed in `run_trial`, which takes
+    # the class to build, so a test observes a trial by passing a subclass.
+    # `bell_probabilities` builds a scratch register that draws nothing.
+    builders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = owners(tree)
+        classes = {"QuantumRegister"}  # and each parameter that defaults to it
+        for node in ast.walk(tree):
+            if isinstance(node, ast.arguments):
+                params = [*node.posonlyargs, *node.args, *node.kwonlyargs]
+                defaults = [*node.defaults, *node.kw_defaults]
+                named = zip(params[len(params) - len(defaults) :], defaults)
+                classes |= {p.arg for p, d in named if getattr(d, "id", None) == "QuantumRegister"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                if getattr(node.func, "id", getattr(node.func, "attr", None)) in classes:
+                    builders.append(f"{path.name}::{owner.get(id(node))}")
+    assert sorted(builders) == ["harness.py::run_trial", "qsim.py::bell_probabilities"]
+
+
+def test_no_test_patches_sqdc():
+    # Tests reach the engine through its parameters (`run_trial`'s
+    # `register=`), not by rebinding a module, class or function of sqdc.
+    patchers = {"patch", "setattr", "delattr", "setitem", "delitem"}  # and patch's own methods
+    found = []
+    for path in sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        sqdc_names = {"sqdc"}  # names bound to sqdc or to something in it
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sqdc":
+                sqdc_names |= {alias.asname or alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                sqdc_names |= {a.asname or a.name for a in node.names if a.name.startswith("sqdc")}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and node.args):
+                continue
+            parts = ast.unparse(node.func).split(".")
+            if parts[-1] not in patchers and parts[-2:-1] != ["patch"]:
+                continue
+            target = node.args[0]
+            while isinstance(target, ast.Attribute):
+                target = target.value
+            root = getattr(target, "id", getattr(target, "value", None))
+            if isinstance(root, str) and root.split(".")[0] in sqdc_names:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_cli_names_an_experiment_once():
