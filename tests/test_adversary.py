@@ -14,7 +14,7 @@ from sqdc.adversary import (
     ModifySingleQubit,
     ReflectAll,
 )
-from sqdc.keys import gen_keys, random_bits
+from sqdc.keys import deinterleave, gen_keys, random_bits
 from sqdc.protocol import DetectionCause, Variant, run_session
 from sqdc.qsim import BellState, QuantumRegister
 from dense_oracle import DenseRegister
@@ -180,6 +180,15 @@ def test_modify_single_checking_qubit_always_detected():
         assert out.bob_accepts  # the message stream is untouched
         assert not out.alice_accepts
         assert out.detection_cause is DetectionCause.BELL_CHECK_FAILED
+
+
+def test_s_msg_targets_a_message_half_qubit():
+    # the flipped qubit carries one of the block's n/8 message bits, not a checksum bit
+    for seed in range(20):
+        rng = Random(seed)
+        keys = gen_keys(64, rng)
+        attack = ATTACKS["modify_single"].build({"target": "s_msg"}, rng, keys, Variant.RANDOMIZATION)
+        assert attack.target in deinterleave(range(64), keys)[0][:16]
 
 
 def test_modify_single_validation():

@@ -130,6 +130,17 @@ def test_modify_s_qubit_rejected_by_bob():
     assert rejects / trials >= 1 - 2 ** -4 - 3 * (2 ** -4 / trials) ** 0.5
 
 
+def test_message_qubit_flip_is_bobs_rejection_alone():
+    # at n = 32 every one-bit flip of a block fails its checksum, and no checking pair is touched
+    for seed in range(50):
+        rng = Random(seed)
+        keys = gen_keys(32, rng)
+        attack = ModifySingleQubit(keys.k1.index(0))  # the first message qubit
+        out = run_session(Variant.RANDOMIZATION, random_bits(4, rng), keys, attack, QuantumRegister(seed))
+        assert (out.bob_accepts, out.alice_accepts, all(out.check_matches)) == (False, True, True)
+        assert out.detection_cause is DetectionCause.HASH_MISMATCH
+
+
 def test_intercepted_check_pairs_match_half_the_time():
     # Z-measuring a checking qubit in transit leaves a 1/2 per-pair match rate
     matches = 0
