@@ -38,62 +38,90 @@ MUTANTS = [
      "(pb, lb ^ label)\n            comp_of[pb] = (pa, lb ^ label)", "entanglement-swapping parity"),
     ("qsim.py", "2 * (la ^ lb) + (u >= 0.5)", "2 * (la & lb) + (u >= 0.5)",
      "X parity of a Bell measurement on two basis qubits"),
+    ("qsim.py", "2 * (la ^ lb) + (u >= 0.5)", "2 * (la ^ lb) + (u >= 0.75)",
+     "Z phase of a Bell measurement on two basis qubits is even"),
+    ("qsim.py", "label = int(4 * u)\n            comp_of[pa]",
+     "label = int(2 * u)\n            comp_of[pa]",
+     "entanglement swapping's four outcomes are uniform"),
     ("qsim.py", "(partner, label ^ x)", "(partner, label)", "a Z measurement's partner ignores X"),
     ("qsim.py", "0 if u < 0.5 else 1", "0 if u < 0.75 else 1", "Born rule of a Z measurement"),
     ("qsim.py", "else 2 * px + pz", "else 2 * pz + px", "a Pauli on a pair swaps px and pz"),
     ("qsim.py", "label ^= px if p == q", "label ^= pz if p == q", "a Pauli on a basis qubit"),
-    ("qsim.py", "        u = self.rng.random()\n        if pa == qb:  # certain; u was drawn to keep streams aligned\n"
-     "            return BELL_ORDER[la]\n",
-     "        if pa == qb:  # certain; u was drawn to keep streams aligned\n"
-     "            return BELL_ORDER[la]\n        u = self.rng.random()\n",
+    ("qsim.py", "        u = self.rng.random()\n        if pa == qb:",
+     "        if pa == qb:\n            return BELL_ORDER[la]\n"
+     "        u = self.rng.random()\n        if pa == qb:",
      "a certain Bell outcome draws its uniform"),
     ("qsim.py", "iter((0.125, 0.375, 0.625, 0.875))", "iter((0.125, 0.125, 0.625, 0.875))",
      "Bell-outcome probabilities"),
-    ("qsim.py", "labels = list(map(BELL_ORDER.index, states))", "labels = map(BELL_ORDER.index, states)",
+    ("qsim.py", "labels = list(map(BELL_ORDER.index, states))",
+     "labels = map(BELL_ORDER.index, states)",
      "prepare_bell checks every state before allocating"),
     ("qsim.py", "if bit not in (0, 1):", "if bit not in (0, 1, 2):", "alloc_qubit rejects a non-bit"),
     ("qsim.py", "(min(p, q), max(p, q))", "(q, p)", "a snapshot lists the lower id first"),
+    ("qsim.py", "self.rng = Random(seed)", "self.rng = Random()", "a register replays from its seed"),
     # codec: the block and its checksum
     ("codec.py", "hashlib.sha256(pack_bits(m)).digest()", "hashlib.sha256(pack_bits(m)).digest()[::-1]",
      "the checksum is the leading digest bits"),
     ("codec.py", "return hash_checksum(m) == list(block[half:]), m",
-     "return hash_checksum(m)[1:] == list(block[half + 1 :]), m", "the checksum's first bit is checked"),
+     "return hash_checksum(m)[1:] == list(block[half + 1 :]), m",
+     "the checksum's first bit is checked"),
     ("codec.py", "return n.to_bytes(2, \"big\") + ", "return ", "the length prefix of packed bits"),
     ("codec.py", "if len(text) != digits:", "if len(text) < digits:", "surplus hex digits are refused"),
     ("codec.py", "_BIT_DIGITS = b\"01\" + b\"x\" * 254", "_BIT_DIGITS = b\"01\" + b\"1\" * 254",
      "a bit string holds only 0 and 1"),
-    ("codec.py", "MAX_MESSAGE_BITS = 256", "MAX_MESSAGE_BITS = 257", "the n bound: n/8 bits fit SHA-256"),
+    ("codec.py", "MAX_MESSAGE_BITS = 256", "MAX_MESSAGE_BITS = 257",
+     "the n bound: n/8 bits fit SHA-256"),
     ("codec.py", "ALPHABET = (BellState.PHI_PLUS, BellState.PSI_MINUS)",
      "ALPHABET = (BellState.PHI_PLUS, BellState.PSI_PLUS)", "bit 1 is carried by Psi-"),
+    ("codec.py", "return _int_to_bits(int.from_bytes(digest, \"big\") >> (256 - L), L)",
+     "return list(m)",
+     "the checksum is a hash, not a copy of the message"),
+    ("codec.py", "return list(m) + hash_checksum(m)", "return hash_checksum(m) + list(m)",
+     "a block is the message, then its checksum"),
     # keys: key material and the stdlib-identical draws
     ("keys.py", "digest()[:8], \"big\")", "digest()[:8], \"little\")", "the k2 permutation"),
-    ("keys.py", "k = (i + 1).bit_length()", "k = i.bit_length() + 1", "shuffles draw as Random.shuffle"),
+    ("keys.py", "k = (i + 1).bit_length()", "k = i.bit_length() + 1",
+     "shuffles draw as Random.shuffle"),
     ("keys.py", "r = getrandbits(2)\n        while r > 1:\n            r = getrandbits(2)",
-     "r = getrandbits(1)\n        while r > 1:\n            r = getrandbits(1)", "random bits draw as randrange(2)"),
-    ("keys.py", "if self.k1.count(0) * 2 != n or self.k1.count(1) * 2 != n:", "if sum(self.k1) * 2 != n:",
+     "r = getrandbits(1)\n        while r > 1:\n            r = getrandbits(1)",
+     "random bits draw as randrange(2)"),
+    ("keys.py", "if self.k1.count(0) * 2 != n or self.k1.count(1) * 2 != n:",
+     "if sum(self.k1) * 2 != n:",
      "k1 holds only bits"),
     ("keys.py", "if len(self.k2) * 2 != n:", "if len(self.k2) > n:", "k2 is half as long as k1"),
     ("keys.py", "n % 8 != 0", "n % 4 != 0", "the n bound: n is a multiple of 8"),
     ("keys.py", "not 16 <= n", "not 8 <= n", "the n bound: n is at least 16"),
+    ("keys.py", "_shuffle(k1, rng)", "_shuffle(k1, Random(0))", "k1 is drawn afresh, hiding the split"),
+    ("keys.py", "(cb if bit else s).append(x)", "(s if bit else cb).append(x)",
+     "deinterleave inverts interleave"),
+    ("keys.py", "hashlib.sha256(pack_bits(k))", "hashlib.sha256(pack_bits(k[1:]))",
+     "every bit of k2 seeds its permutation"),
     # protocol: both variants' steps
     ("protocol.py", "    if any(BELL_ORDER.index(o) >> 1 != bit for bit, o in pairs):\n"
      "        return DetectionCause.BELL_CHECK_FAILED, matches\n", "", "the step-4* X-parity test"),
-    ("protocol.py", "return DetectionCause.REFLECT_FLAG, matches", "return DetectionCause.NONE, matches",
+    ("protocol.py", "return DetectionCause.REFLECT_FLAG, matches",
+     "return DetectionCause.NONE, matches",
      "the reflect flag"),
     ("protocol.py", "return apply_perm(permutation_from_key(keys.k2), cb_qubits)",
-     "return invert_perm(permutation_from_key(keys.k2), cb_qubits)", "Bob reorders by the k2 permutation"),
+     "return invert_perm(permutation_from_key(keys.k2), cb_qubits)",
+     "Bob reorders by the k2 permutation"),
     ("protocol.py", "ALPHABET[random() >= 0.5] for _ in range(n // 2)",
-     "ALPHABET[random() >= 0.25] for _ in range(n // 2)", "checking pairs are uniform over the alphabet"),
+     "ALPHABET[random() >= 0.25] for _ in range(n // 2)",
+     "checking pairs are uniform over the alphabet"),
     ("protocol.py", "if alice_ok and bob_ok is False", "if alice_ok and not bob_ok",
      "a session that bypasses Bob has no hash verdict"),
     ("protocol.py", "security_event = bool(bob_ok) and", "security_event =",
      "a security event needs Bob's acceptance"),
     ("protocol.py", "[alloc_qubit(b) for b in results]", "[alloc_qubit(0) for b in results]",
      "measure-resend Bob resends what he measured"),
-    ("protocol.py", "if (keys.k2 is None) == variant.holds_k2:", "if keys.k2 is None and variant.holds_k2:",
+    ("protocol.py", "if (keys.k2 is None) == variant.holds_k2:",
+     "if keys.k2 is None and variant.holds_k2:",
      "measure-resend refuses a k2"),
     ("protocol.py", "ALICE_ACCEPTS = (DetectionCause.NONE, DetectionCause.HASH_MISMATCH)",
      "ALICE_ACCEPTS = (DetectionCause.NONE,)", "a hash mismatch is Bob's rejection alone"),
+    ("protocol.py", "return ok, m_decoded, results, cb_qubits",
+     "return True, m_decoded, results, cb_qubits",
+     "Bob rejects a block whose checksum fails"),
     # adversary: the attacks and their closed forms
     ("adversary.py", "if self.rng.random() < 0.5:", "if self.rng.random() < 0.75:",
      "idealized Bob keeps each qubit w.p. 1/2"),
@@ -106,28 +134,38 @@ MUTANTS = [
      "intercept-resend resends what it measured"),
     ("adversary.py", "register.apply_pauli(qubits[self.target], Pauli.IY)",
      "register.apply_pauli(qubits[self.target], Pauli.Z)", "the one-qubit modification is iY"),
-    ("adversary.py", "\"s_msg\": s[: n // 4]", "\"s_msg\": s[n // 4 :]", "s_msg targets the message half"),
+    ("adversary.py", "\"s_msg\": s[: n // 4]", "\"s_msg\": s[n // 4 :]",
+     "s_msg targets the message half"),
     ("adversary.py", "0 <= value < n", "0 <= value <= n", "a position target is below n"),
     ("adversary.py", "0.625 ** (n / 2)", "0.625 ** (n / 4)", "closed form of idealized Bob"),
     ("adversary.py", "if variant not in self.variants:", "if variant is None:",
      "reflect_all applies to measure-resend only"),
+    ("adversary.py",
+     "def tamper_backward(self, register: QuantumRegister, qubits):\n        return qubits\n",
+     "def tamper_backward(self, register: QuantumRegister, qubits):\n        return qubits[::-1]\n",
+     "the base strategy's hooks are the identity"),
+    ("adversary.py", "if value not in self.choices and not is_position:",
+     "if type(value) is int and not is_position:", "an unknown symbolic parameter is refused"),
     # harness: statistics, configurations and documents
-    ("harness.py", "center = (phat + z * z / (2 * trials)) / denom", "center = (phat + z * z / trials) / denom",
-     "the Wilson centre"),
+    ("harness.py", "center = (phat + z * z / (2 * trials)) / denom",
+     "center = (phat + z * z / trials) / denom", "the Wilson centre"),
     ("harness.py", "if outcome.bob_accepts:", "if outcome.bob_accepts is not False:",
      "a bypassed Bob does not accept"),
     ("harness.py", "or self.trials < 1:", "or self.trials < 0:", "a run has a trial"),
-    ("harness.py", "include_k2=config.variant.holds_k2", "include_k2=True", "measure-resend trials draw no k2"),
+    ("harness.py", "include_k2=config.variant.holds_k2", "include_k2=True",
+     "measure-resend trials draw no k2"),
     ("harness.py", "        if key in obj:\n", "        if key in obj and False:\n",
      "a document that repeats a key is refused"),
-    ("harness.py", "    if unknown:\n", "    if unknown and False:\n", "a document's unknown key is refused"),
+    ("harness.py", "    if unknown:\n", "    if unknown and False:\n",
+     "a document's unknown key is refused"),
     # cli: the exit codes and the flags
     ("cli.py", "file=sys.stderr)\n        return 2", "file=sys.stderr)\n        return 1",
      "exit code 2 for a configuration error"),
     ("cli.py", "file=sys.stderr)\n        return 3", "file=sys.stderr)\n        return 1",
      "exit code 3 for an I/O error"),
     ("cli.py", "is_int = value.isascii() and ", "is_int = ", "a position is ASCII digits"),
-    ("cli.py", "if key in params:", "if key in params and False:", "a repeated --attack-param is refused"),
+    ("cli.py", "if key in params:", "if key in params and False:",
+     "a repeated --attack-param is refused"),
     ("cli.py", "if base and not os.path.isabs(path):", "if base and os.path.isabs(path):",
      "SQDC_OUTPUT_DIR takes relative --out paths"),
 ]
@@ -138,7 +176,8 @@ IGNORED = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis", 
 # the fastest test files first, then any other (the pins among them), perfbench's gate and
 # the acceptance criteria, so the first failure named is a test that is not a pin where one fails
 FAST_FIRST = ("test_stdlib_only.py", "test_tracer_names.py", "test_codec.py", "test_protocol.py",
-              "test_properties.py", "test_keys.py", "test_adversary.py", "test_harness.py", "test_qsim.py")
+              "test_properties.py", "test_keys.py", "test_adversary.py", "test_qsim.py",
+              "test_harness.py")
 # it reads the sources for each old text, so on a mutant it fails by construction
 GUARD = "tests/test_mutants.py::test_every_mutant_applies_and_parses"
 TIMEOUT = 900  # seconds; a mutant that loops forever counts as killed
@@ -171,7 +210,7 @@ def run(mutant, matrix: bool):
             source = ROOT / name
             if source.is_dir():
                 shutil.copytree(source, tree / name, ignore=IGNORED)
-            elif source.exists():
+            else:
                 shutil.copy2(source, tree / name)
         (tree / "src" / "sqdc" / mutant[0]).write_text(text, encoding="utf-8")
         argv = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider"]
@@ -180,13 +219,16 @@ def run(mutant, matrix: bool):
         env = dict(os.environ, PYTHONPATH=str(tree / "src"))
         start = time.monotonic()
         try:
-            done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT)
+            done = subprocess.run(
+                argv, cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT
+            )
         except subprocess.TimeoutExpired:
             return [f"timeout after {TIMEOUT} s"], time.monotonic() - start
         failed = re.findall(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.M)
         # any failing exit counts; an internal error or interrupt ends the run before its summary
         if done.returncode and not failed:
-            failed = [f"pytest exit {done.returncode}: " + (done.stdout.strip().splitlines() or [""])[-1]]
+            last = (done.stdout.strip().splitlines() or [""])[-1]
+            failed = [f"pytest exit {done.returncode}: {last}"]
         return failed, time.monotonic() - start
     finally:
         shutil.rmtree(tree, ignore_errors=True)
@@ -217,7 +259,7 @@ def main(argv=None) -> int:
             print(f"{verdict} {seconds:6.1f} s  {label}" + (f"  <- {failed[0]}" if failed else ""))
         sys.stdout.flush()
     if kill_seconds:
-        print(f"{len(kill_seconds)} killed, {len(survivors)} not; seconds to kill: median "
+        print(f"{len(kill_seconds)} killed, {len(survivors)} not; seconds per killed mutant: median "
               f"{statistics.median(kill_seconds):.1f}, max {max(kill_seconds):.1f}, "
               f"total {sum(kill_seconds):.0f}")
     return 1 if survivors else 0

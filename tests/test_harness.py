@@ -169,16 +169,6 @@ def test_run_trial_fixed_message():
         assert outcome.decoded_message == m
 
 
-def test_run_experiment_honest():
-    stats = run_experiment(make_config(trials=200, seed=11))
-    assert stats.detection_rate == 0.0
-    assert stats.bob_accept_rate == 1.0
-    assert stats.alice_accept_rate == 1.0
-    assert stats.security_event_rate == 0.0
-    assert stats.cause_counts["none"] == 200
-    assert stats.analytic == 0.0
-
-
 def test_run_experiment_reproducible():
     config_a = make_config(attack="intercept_resend", trials=300, seed=42)
     config_b = make_config(attack="intercept_resend", trials=300, seed=42)
@@ -427,114 +417,36 @@ def test_max_n_runs_one_trial():
 
 # -- CLI ------------------------------------------------------------------------
 
+RUN = ["run", "--variant", "randomization", "--n", "16", "--trials", "5", "--seed", "3"]
+
 
 def test_cli_run_json_stdout(capsys):
-    code = main(
-        [
-            "run",
-            "--variant", "randomization",
-            "--attack", "no_attack",
-            "--n", "16",
-            "--trials", "20",
-            "--seed", "3",
-        ]
-    )
-    assert code == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["results"]["detection_rate"] == 0.0
-
-
-def test_cli_run_csv_to_file(tmp_path, capsys):
-    out = tmp_path / "r.csv"
-    code = main(
-        [
-            "run",
-            "--variant", "measure-resend",
-            "--attack", "reflect_all",
-            "--n", "16",
-            "--trials", "20",
-            "--seed", "3",
-            "--format", "csv",
-            "--out", str(out),
-        ]
-    )
-    assert code == 0
-    with out.open(encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert rows[0]["detection_rate"] == "1.0"
-
-
-def test_cli_attack_params(capsys):
-    code = main(
-        [
-            "run",
-            "--variant", "randomization",
-            "--attack", "modify_single",
-            "--attack-param", "target=c",
-            "--n", "16",
-            "--trials", "20",
-            "--seed", "3",
-        ]
-    )
-    assert code == 0
+    assert main(RUN + ["--attack", "modify_single", "--attack-param", "target=c"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["results"]["detection_rate"] == 1.0
     assert doc["config"]["attack_params"] == {"target": "c"}
 
 
+def test_cli_run_csv_to_file(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    argv = ["run", "--variant", "measure-resend", "--attack", "reflect_all", "--n", "16"]
+    assert main(argv + ["--trials", "20", "--seed", "3", "--format", "csv", "--out", str(out)]) == 0
+    with out.open(encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[0]["detection_rate"] == "1.0"
+
+
 def test_cli_output_dir_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
-    code = main(
-        [
-            "run",
-            "--variant", "randomization",
-            "--attack", "no_attack",
-            "--n", "16",
-            "--trials", "5",
-            "--seed", "3",
-            "--out", "nested.json",
-        ]
-    )
-    assert code == 0
+    assert main(RUN + ["--attack", "no_attack", "--out", "nested.json"]) == 0
     assert (tmp_path / "nested.json").exists()
-
-
-def test_cli_config_error_exit_code(capsys):
-    code = main(
-        [
-            "run",
-            "--variant", "randomization",
-            "--attack", "reflect_all",
-            "--n", "16",
-            "--trials", "5",
-            "--seed", "3",
-        ]
-    )
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
-
-
-def test_cli_bad_attack_param_exit_code(capsys):
-    code = main(
-        [
-            "run",
-            "--variant", "randomization",
-            "--attack", "no_attack",
-            "--attack-param", "oops",
-            "--n", "16",
-            "--trials", "5",
-            "--seed", "3",
-        ]
-    )
-    assert code == 2
-
-
-RUN = ["run", "--variant", "randomization", "--n", "16", "--trials", "5", "--seed", "3"]
 
 
 @pytest.mark.parametrize(
     "argv",
     [
+        RUN + ["--attack", "reflect_all"],  # measure-resend only
+        RUN + ["--attack", "no_attack", "--attack-param", "oops"],
         RUN + ["--attack", "no_attack", "--attack-param", "bogus=1"],
         RUN + ["--attack", "modify_single", "--attack-param", "target=999"],
         RUN + ["--attack", "modify_single", "--attack-param", "target=-1"],
@@ -565,18 +477,7 @@ def test_cli_invalid_input_exit_code(argv, capsys):
 
 
 def test_cli_io_error_exit_code(tmp_path, capsys):
-    code = main(
-        [
-            "run",
-            "--variant", "randomization",
-            "--attack", "no_attack",
-            "--n", "16",
-            "--trials", "5",
-            "--seed", "3",
-            "--out", str(tmp_path / "missing" / "dir" / "r.json"),
-        ]
-    )
-    assert code == 3
+    assert main(RUN + ["--attack", "no_attack", "--out", str(tmp_path / "missing" / "r.json")]) == 3
     assert "cannot write" in capsys.readouterr().err
 
 
