@@ -2,14 +2,13 @@
 is not a tier-1 test: `python tests/mutants.py` does it."""
 
 import ast
-from pathlib import Path
 
-from mutants import MUTANTS, mutated
+from mutants import MUTANTS, ROOT, mutated
 
 
 def test_every_mutant_applies_and_parses():
     # mutated() raises ValueError unless the old text occurs once and the new differs
     for mutant in MUTANTS:
         ast.parse(mutated(mutant), mutant[0])
-    modules = {p.name for p in (Path(__file__).resolve().parents[1] / "src" / "sqdc").glob("*.py")}
+    modules = {path.name for path in (ROOT / "src" / "sqdc").glob("*.py")}
     assert {mutant[0] for mutant in MUTANTS} == modules - {"__init__.py"}
