@@ -1,4 +1,4 @@
-"""Tests for block construction, checksums, and the hex and bit plumbing."""
+"""Tests for block construction, checksums, and Bell encoding."""
 
 import hashlib
 from fractions import Fraction
@@ -8,6 +8,7 @@ from random import Random
 import pytest
 
 from sqdc.codec import (
+    ALPHABET,
     MAX_MESSAGE_BITS,
     bits_to_hex,
     build_block,
@@ -17,6 +18,7 @@ from sqdc.codec import (
     verify_block,
 )
 from sqdc.keys import random_bits
+from sqdc.qsim import BellState, QuantumRegister
 
 
 # -- checksum ------------------------------------------------------------------
@@ -43,6 +45,23 @@ def test_checksum_length_validation():
         hash_checksum([])
 
 
+def test_checksum_avalanche_exhaustive():
+    # every 8-bit message, every single-bit flip
+    changed_bits = 0
+    cases = 0
+    for v in range(256):
+        m = [(v >> (7 - i)) & 1 for i in range(8)]
+        hm = hash_checksum(m)
+        for i in range(8):
+            m2 = list(m)
+            m2[i] ^= 1
+            h2 = hash_checksum(m2)
+            changed_bits += sum(a != b for a, b in zip(hm, h2))
+            cases += 1
+    # output bits change in at least 35% of sampled cases
+    assert changed_bits / (8 * cases) >= 0.35
+
+
 def test_pack_bits_length_prefix():
     assert pack_bits([]) == b"\x00\x00"
     assert pack_bits([1]) == b"\x00\x01\x80"
@@ -57,8 +76,31 @@ def test_pack_bits_length_prefix():
 # -- block build / verify --------------------------------------------------------
 
 
+def test_build_block_lengths():
+    m = [1, 0, 1, 1]  # n = 32
+    block = build_block(m)
+    assert len(block) == 8
+    assert block[:4] == m
+    assert block[4:] == hash_checksum(m)
+
+
 def test_build_block_pinned():
     assert build_block([1, 0, 1, 1]) == [1, 0, 1, 1, 1, 1, 0, 0]
+
+
+def test_round_trip_exhaustive_small():
+    for length in (2, 3, 4):  # covers every message for n <= 32
+        for bits in product((0, 1), repeat=length):
+            ok, m = verify_block(build_block(list(bits)))
+            assert ok and m == list(bits)
+
+
+def test_round_trip_randomized_large():
+    rng = Random(9)
+    for _ in range(200):
+        m = random_bits(rng.choice([8, 16, 32]), rng)
+        ok, decoded = verify_block(build_block(m))
+        assert ok and decoded == m
 
 
 def test_flipped_tail_bit_always_rejects():
@@ -90,6 +132,34 @@ def test_single_message_bit_flip_detection_is_exact():
 def test_verify_block_odd_length_rejected():
     with pytest.raises(ValueError):
         verify_block([0, 1, 0])
+
+
+def test_forgery_bound_random_blocks():
+    # uniformly random blocks at n=32 pass with rate 2^-4 within 3 sigma
+    rng = Random(11)
+    trials = 100_000
+    accepted = sum(verify_block(random_bits(8, rng))[0] for _ in range(trials))
+    p = 2 ** -4
+    sigma = (p * (1 - p) / trials) ** 0.5
+    assert abs(accepted / trials - p) <= 3 * sigma
+
+
+# -- bit <-> Bell encoding --------------------------------------------------------
+
+
+def test_alphabet_mapping():
+    assert ALPHABET == (BellState.PHI_PLUS, BellState.PSI_MINUS)
+
+
+def test_encode_measure_decode_round_trip():
+    # the Z outcomes of an encoded pair always XOR back to the bit
+    reg = QuantumRegister(3)
+    for _ in range(1000):
+        for bit in (0, 1):
+            a, b = reg.measure_z(*reg.prepare_bell(ALPHABET[bit]))
+            assert a ^ b == bit
+        if len(reg.live_qubits()) > 4000:
+            reg = QuantumRegister(reg.rng.getrandbits(32))
 
 
 # -- hex plumbing -----------------------------------------------------------------

@@ -169,6 +169,16 @@ def test_run_trial_fixed_message():
         assert outcome.decoded_message == m
 
 
+def test_run_experiment_honest():
+    stats = run_experiment(make_config(trials=200, seed=11))
+    assert stats.detection_rate == 0.0
+    assert stats.bob_accept_rate == 1.0
+    assert stats.alice_accept_rate == 1.0
+    assert stats.security_event_rate == 0.0
+    assert stats.cause_counts["none"] == 200
+    assert stats.analytic == 0.0
+
+
 def test_run_experiment_reproducible():
     config_a = make_config(attack="intercept_resend", trials=300, seed=42)
     config_b = make_config(attack="intercept_resend", trials=300, seed=42)

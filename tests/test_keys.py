@@ -1,6 +1,8 @@
 """Tests for key generation, interleaving, and key-derived permutations."""
 
 import hashlib
+from itertools import combinations
+from math import comb
 from random import Random
 
 import pytest
@@ -31,6 +33,11 @@ def test_gen_keys_shapes():
 
 def test_gen_keys_deterministic():
     assert gen_keys(32, Random(5)) == gen_keys(32, Random(5))
+
+
+def test_gen_keys_distinct_seeds_distinct_keys():
+    seen = {gen_keys(32, Random(seed)) for seed in range(100)}
+    assert len(seen) == 100
 
 
 def test_gen_keys_invalid_n():
@@ -142,6 +149,44 @@ def test_interleave_validation():
         KeyMaterial(k1=(1, 1, 1, 0))
 
 
+def test_round_trip_exhaustive_n16():
+    # every balanced 16-bit key
+    q = list(range(16))
+    for ones in combinations(range(16), 8):
+        keys = KeyMaterial(k1=tuple(1 if i in ones else 0 for i in range(16)))
+        s, cb = deinterleave(q, keys)
+        assert interleave(s, cb, keys) == q
+    assert comb(16, 8) == 12870  # the size of the hidden-split space
+
+
+def test_round_trip_randomized_large():
+    rng = Random(21)
+    for _ in range(100):
+        n = rng.choice([32, 64])
+        keys = gen_keys(n, rng, include_k2=False)
+        s = [("s", i) for i in range(n // 2)]
+        cb = [("c", i) for i in range(n // 2)]
+        q = interleave(s, cb, keys)
+        assert deinterleave(q, keys) == (s, cb)
+
+
+def test_split_hiding_operational():
+    # a keyless guesser picking a uniform balanced split finds the true one
+    # with frequency at most 2/C(16,8) over 1e5 attempts
+    rng = Random(2)
+    trials = 100_000
+    hits = 0
+    base = [0] * 8 + [1] * 8
+    for _ in range(trials):
+        true = list(base)
+        rng.shuffle(true)
+        guess = list(base)
+        rng.shuffle(guess)
+        if guess == true:
+            hits += 1
+    assert hits / trials <= 2 / comb(16, 8)
+
+
 # -- permutations -----------------------------------------------------------------
 
 
@@ -207,6 +252,20 @@ def test_permutation_is_bijection():
     for n in range(16, 2049, 8):
         k = [rng.randrange(2) for _ in range(n // 2)]
         assert sorted(permutation_from_key(k)) == list(range(n // 2))
+
+
+def test_permutation_collisions_match_birthday_expectation():
+    # all 256 8-bit keys into 8! = 40320 permutation cells; expected
+    # colliding pairs = C(256,2)/8! ~ 0.81, so a 3-sigma Poisson band tops
+    # out at 4 colliding pairs
+    seen = {}
+    colliding_pairs = 0
+    for v in range(256):
+        k = [(v >> (7 - i)) & 1 for i in range(8)]
+        mapping = permutation_from_key(k)
+        colliding_pairs += seen.get(mapping, 0)
+        seen[mapping] = seen.get(mapping, 0) + 1
+    assert colliding_pairs <= 4
 
 
 def test_apply_invert_round_trip():

@@ -1,10 +1,11 @@
 """Tests for the exact engine, whose components are basis qubits and
 labelled Bell pairs: snapshots (read as amplitudes through the dense oracle's
-vectors), collapse, teleportation and entanglement swapping,
+vectors), Born statistics, collapse, teleportation and entanglement swapping,
 and agreement with the dense full-register oracle on random scripts
 (outcomes, Bell-outcome probabilities and the full state after each step)."""
 
 import itertools
+import math
 import re
 from random import Random
 
@@ -111,6 +112,19 @@ def test_psi_minus_partners_disagree():
         assert reg.measure_z(qa) != reg.measure_z(qb)
 
 
+def test_born_statistics_on_bell_half():
+    reg = QuantumRegister(7)
+    zeros = 0
+    trials = 100_000
+    for _ in range(trials):
+        qa, _ = reg.prepare_bell(BellState.PHI_PLUS)
+        if reg.measure_z(qa) == (0,):
+            zeros += 1
+        if len(reg.live_qubits()) > 4000:
+            reg = QuantumRegister(reg.rng.getrandbits(32))
+    assert abs(zeros / trials - 0.5) < 0.01
+
+
 def test_measurement_splits_component():
     reg = QuantumRegister(0)
     qa, qb = reg.prepare_bell(BellState.PHI_PLUS)
@@ -140,6 +154,22 @@ def test_bell_measure_eigenstate_repeats():
             assert reg.bell_measure(qa, qb) == bs  # projective repeatability
 
 
+def test_bell_measure_product_00():
+    # |00> = (Phi+ + Phi-)/sqrt(2)
+    reg = QuantumRegister(11)
+    counts = {bs: 0 for bs in BELL_ORDER}
+    trials = 4000
+    for _ in range(trials):
+        qa = reg.alloc_qubit(0)
+        qb = reg.alloc_qubit(0)
+        counts[reg.bell_measure(qa, qb)] += 1
+        if len(reg.live_qubits()) > 4000:
+            reg = QuantumRegister(reg.rng.getrandbits(32))
+    assert counts[BellState.PSI_PLUS] == 0
+    assert counts[BellState.PSI_MINUS] == 0
+    assert abs(counts[BellState.PHI_PLUS] / trials - 0.5) < 0.05
+
+
 def test_bell_measure_probabilities_product_00():
     reg = QuantumRegister(0)
     qa = reg.alloc_qubit(0)
@@ -149,6 +179,22 @@ def test_bell_measure_probabilities_product_00():
     assert abs(probs[BellState.PHI_MINUS] - 0.5) < 1e-12
     assert probs[BellState.PSI_PLUS] < 1e-12
     assert probs[BellState.PSI_MINUS] < 1e-12
+
+
+def test_bell_measure_across_independent_pairs_uniform():
+    # chi-square uniformity over the four outcomes, 1e5 draws
+    reg = QuantumRegister(17)
+    counts = {bs: 0 for bs in BELL_ORDER}
+    trials = 100_000
+    for _ in range(trials):
+        qa, _ = reg.prepare_bell(BellState.PHI_PLUS)
+        _, qb = reg.prepare_bell(BellState.PSI_MINUS)
+        counts[reg.bell_measure(qa, qb)] += 1
+        if len(reg.live_qubits()) > 4000:
+            reg = QuantumRegister(reg.rng.getrandbits(32))
+    expected = trials / 4
+    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+    assert chi2 < CHI2_CRIT_DF3_P01
 
 
 def test_bell_measure_entanglement_swap():
@@ -336,7 +382,7 @@ def test_z_leaves_zero_unchanged():
     assert reg.component_snapshot(q) == before
 
 
-# -- snapshots and normalization -------------------------------------------------
+# -- snapshots, normalization, determinism -------------------------------------
 
 
 def test_snapshot_is_pure_read():
@@ -362,6 +408,22 @@ def test_normalization_maintained_under_random_ops():
         for q in live:
             _, amps = snapshot_amplitudes(reg.component_snapshot(q))
             assert abs(sum(abs(a) ** 2 for a in amps) - 1.0) < 1e-9
+
+
+def test_determinism_same_seed_same_outcomes():
+    def run(seed):
+        reg = QuantumRegister(seed)
+        out = []
+        for _ in range(100):
+            qa, qb = reg.prepare_bell(BellState.PHI_PLUS)
+            qc, qd = reg.prepare_bell(BellState.PSI_MINUS)
+            out.append(reg.measure_z(qa))
+            out.append(reg.bell_measure(qb, qc))
+            out.append(reg.measure_z(qd))
+        return out
+
+    assert run(1234) == run(1234)
+    assert run(1234) != run(4321)
 
 
 def test_states_equal_global_phase():
