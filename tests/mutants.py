@@ -8,15 +8,15 @@ Lipton & Sayward, "Hints on Test Data Selection", IEEE Computer 11(4), 1978).
 
     python tests/mutants.py           # tier-1 with -x per mutant: killed or survived
     python tests/mutants.py --matrix  # tier-1 without -x per mutant: every failing test
-    python tests/mutants.py 3 7       # mutants 3 and 7 only
 
 Each mutant runs on a temporary copy of the tree, removed however the run ends,
 with one pytest process at a time; the checkout is never written. The test files
 run fastest first and tests/test_acceptance.py last, all but the guard, which
-fails on every mutant. A failing pytest exit kills a mutant; the run exits 1
-unless every mutant parses and is killed. The pins (tests/test_pins.py and
-perfbench's gate) fail on most mutants, but a re-pin rewrites them, so when the
-kill matrix decides which tests carry weight, they do not count.
+fails on every mutant. Tier-1 first runs on a copy with no mutant, and the run
+exits 1 unless that passes, then unless every mutant parses and is killed by a
+failing pytest exit. The pins (tests/test_pins.py and perfbench's gate) fail on
+most mutants, but a re-pin rewrites them, so when the kill matrix decides which
+tests carry weight, they do not count.
 """
 
 import argparse
@@ -49,13 +49,11 @@ MUTANTS = [
     ("qsim.py", "label ^= px if p == q", "label ^= pz if p == q", "a Pauli on a basis qubit"),
     ("qsim.py", "        u = self.rng.random()\n        if pa == qb:",
      "        if pa == qb:\n            return BELL_ORDER[la]\n"
-     "        u = self.rng.random()\n        if pa == qb:",
-     "a certain Bell outcome draws its uniform"),
+     "        u = self.rng.random()\n        if pa == qb:", "a certain Bell outcome draws its uniform"),
     ("qsim.py", "iter((0.125, 0.375, 0.625, 0.875))", "iter((0.125, 0.125, 0.625, 0.875))",
      "Bell-outcome probabilities"),
     ("qsim.py", "labels = list(map(BELL_ORDER.index, states))",
-     "labels = map(BELL_ORDER.index, states)",
-     "prepare_bell checks every state before allocating"),
+     "labels = map(BELL_ORDER.index, states)", "prepare_bell checks every state before allocating"),
     ("qsim.py", "if bit not in (0, 1):", "if bit not in (0, 1, 2):", "alloc_qubit rejects a non-bit"),
     ("qsim.py", "(min(p, q), max(p, q))", "(q, p)", "a snapshot lists the lower id first"),
     ("qsim.py", "self.rng = Random(seed)", "self.rng = Random()", "a register replays from its seed"),
@@ -74,10 +72,11 @@ MUTANTS = [
     ("codec.py", "ALPHABET = (BellState.PHI_PLUS, BellState.PSI_MINUS)",
      "ALPHABET = (BellState.PHI_PLUS, BellState.PSI_PLUS)", "bit 1 is carried by Psi-"),
     ("codec.py", "return _int_to_bits(int.from_bytes(digest, \"big\") >> (256 - L), L)",
-     "return list(m)",
-     "the checksum is a hash, not a copy of the message"),
+     "return list(m)", "the checksum is a hash, not a copy of the message"),
     ("codec.py", "return list(m) + hash_checksum(m)", "return hash_checksum(m) + list(m)",
      "a block is the message, then its checksum"),
+    ("codec.py", "format(_bits_to_int(bits) << pad,", "format(_bits_to_int(bits),",
+     "hex pads after the last bit, so hex_to_bits reads the bits back"),
     # keys: key material and the stdlib-identical draws
     ("keys.py", "digest()[:8], \"big\")", "digest()[:8], \"little\")", "the k2 permutation"),
     ("keys.py", "k = (i + 1).bit_length()", "k = i.bit_length() + 1",
@@ -86,8 +85,7 @@ MUTANTS = [
      "r = getrandbits(1)\n        while r > 1:\n            r = getrandbits(1)",
      "random bits draw as randrange(2)"),
     ("keys.py", "if self.k1.count(0) * 2 != n or self.k1.count(1) * 2 != n:",
-     "if sum(self.k1) * 2 != n:",
-     "k1 holds only bits"),
+     "if sum(self.k1) * 2 != n:", "k1 holds only bits"),
     ("keys.py", "if len(self.k2) * 2 != n:", "if len(self.k2) > n:", "k2 is half as long as k1"),
     ("keys.py", "n % 8 != 0", "n % 4 != 0", "the n bound: n is a multiple of 8"),
     ("keys.py", "not 16 <= n", "not 8 <= n", "the n bound: n is at least 16"),
@@ -100,8 +98,7 @@ MUTANTS = [
     ("protocol.py", "    if any(BELL_ORDER.index(o) >> 1 != bit for bit, o in pairs):\n"
      "        return DetectionCause.BELL_CHECK_FAILED, matches\n", "", "the step-4* X-parity test"),
     ("protocol.py", "return DetectionCause.REFLECT_FLAG, matches",
-     "return DetectionCause.NONE, matches",
-     "the reflect flag"),
+     "return DetectionCause.NONE, matches", "the reflect flag"),
     ("protocol.py", "return apply_perm(permutation_from_key(keys.k2), cb_qubits)",
      "return invert_perm(permutation_from_key(keys.k2), cb_qubits)",
      "Bob reorders by the k2 permutation"),
@@ -115,13 +112,11 @@ MUTANTS = [
     ("protocol.py", "[alloc_qubit(b) for b in results]", "[alloc_qubit(0) for b in results]",
      "measure-resend Bob resends what he measured"),
     ("protocol.py", "if (keys.k2 is None) == variant.holds_k2:",
-     "if keys.k2 is None and variant.holds_k2:",
-     "measure-resend refuses a k2"),
+     "if keys.k2 is None and variant.holds_k2:", "measure-resend refuses a k2"),
     ("protocol.py", "ALICE_ACCEPTS = (DetectionCause.NONE, DetectionCause.HASH_MISMATCH)",
      "ALICE_ACCEPTS = (DetectionCause.NONE,)", "a hash mismatch is Bob's rejection alone"),
     ("protocol.py", "return ok, m_decoded, results, cb_qubits",
-     "return True, m_decoded, results, cb_qubits",
-     "Bob rejects a block whose checksum fails"),
+     "return True, m_decoded, results, cb_qubits", "Bob rejects a block whose checksum fails"),
     # adversary: the attacks and their closed forms
     ("adversary.py", "if self.rng.random() < 0.5:", "if self.rng.random() < 0.75:",
      "idealized Bob keeps each qubit w.p. 1/2"),
@@ -184,12 +179,15 @@ TIMEOUT = 900  # seconds; a mutant that loops forever counts as killed
 
 
 def mutated(mutant) -> str:
-    """The mutant's file text; raises ValueError unless its old text occurs once."""
+    """The mutant's file text; raises ValueError unless its old text occurs once and
+    the new text differs, and SyntaxError unless the text parses."""
     file, old, new, _ = mutant
     text = (ROOT / "src" / "sqdc" / file).read_text(encoding="utf-8")
     if text.count(old) != 1 or old == new:
         raise ValueError(f"{file}: old text occurs {text.count(old)} times, or new text equals it")
-    return text.replace(old, new)
+    text = text.replace(old, new)
+    ast.parse(text, file)  # a mutant that does not compile is no mutant
+    return text
 
 
 def tier1_paths(tree: Path) -> list:
@@ -201,9 +199,9 @@ def tier1_paths(tree: Path) -> list:
 
 
 def run(mutant, matrix: bool):
-    """(failing tests, seconds) of tier-1 on a copy of the tree with the mutant applied."""
-    text = mutated(mutant)
-    ast.parse(text)  # a mutant that does not compile is no mutant
+    """(failing tests, seconds) of tier-1 on a copy of the tree, with the mutant applied
+    unless it is None."""
+    text = mutant and mutated(mutant)
     tree = Path(tempfile.mkdtemp(prefix="sqdc-mutant-"))
     try:
         for name in COPIED:
@@ -212,7 +210,8 @@ def run(mutant, matrix: bool):
                 shutil.copytree(source, tree / name, ignore=IGNORED)
             else:
                 shutil.copy2(source, tree / name)
-        (tree / "src" / "sqdc" / mutant[0]).write_text(text, encoding="utf-8")
+        if mutant:
+            (tree / "src" / "sqdc" / mutant[0]).write_text(text, encoding="utf-8")
         argv = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider"]
         argv += ["--continue-on-collection-errors", *([] if matrix else ["-x"]), *tier1_paths(tree)]
         argv += ["--deselect", GUARD]  # it checks the list against unmutated sources
@@ -237,10 +236,16 @@ def run(mutant, matrix: bool):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--matrix", action="store_true", help="run every test and list all that fail")
-    parser.add_argument("index", type=int, nargs="*", help="run only these mutants (default: all)")
     args = parser.parse_args(argv)
+    # a test that fails without a mutant would count as a kill of every one
+    failed, seconds = run(None, args.matrix)
+    if failed:
+        print(f"tier-1 fails on the unmutated tree ({seconds:.1f} s); no mutant counted:",
+              *failed, sep="\n    ")
+        return 1
+    print(f"unmutated tree passes tier-1 in {seconds:.1f} s")
     survivors, kill_seconds = [], []
-    for i in args.index or range(len(MUTANTS)):
+    for i in range(len(MUTANTS)):
         file, _, _, breaks = MUTANTS[i]
         label = f"#{i} {file}: {breaks}"
         try:

@@ -24,25 +24,37 @@ from sqdc.qsim import BellState, QuantumRegister
 # -- checksum ------------------------------------------------------------------
 
 
-def test_checksum_deterministic():
-    rng = Random(0)
-    for _ in range(50):
-        m = random_bits(8, rng)
-        assert hash_checksum(m) == hash_checksum(m)
-
-
 def test_checksum_pinned_vector_zero_byte():
     # sha256(0x000800)[:1] = 0x8f
     assert hash_checksum([0] * 8) == [1, 0, 0, 0, 1, 1, 1, 1]
+    rng = Random(0)
+    for m in (random_bits(8, rng) for _ in range(50)):
+        assert hash_checksum(m) == hash_checksum(m)
 
 
 def test_checksum_length_validation():
     # a checksum as long as the message cannot outgrow the 256-bit digest
     assert len(hash_checksum([1] * MAX_MESSAGE_BITS)) == MAX_MESSAGE_BITS == 256
-    with pytest.raises(ValueError):
-        hash_checksum([1] * (MAX_MESSAGE_BITS + 1))
-    with pytest.raises(ValueError):
-        hash_checksum([])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: hash_checksum([1] * (MAX_MESSAGE_BITS + 1)), None),
+        (lambda: hash_checksum([]), None),
+        (lambda: pack_bits([0, 2]), None),
+        (lambda: bits_to_hex([0, 2]), None),
+        (lambda: verify_block([0, 1, 0]), None),  # odd length
+        (lambda: hex_to_bits("a", 5), None),  # too short
+        # too long: exactly ceil(nbits/4) digits, so nothing is dropped unseen
+        *((lambda t=t, k=k: hex_to_bits(t, k), "hex digits") for t, k in (("ab", 4), ("abc", 8), ("0f", 2))),
+    ],
+    ids=["checksum-257-bits", "checksum-empty", "pack-non-bit", "hex-non-bit", "verify-odd-length",
+         "hex-too-short", "hex-too-long-ab", "hex-too-long-abc", "hex-too-long-0f"],
+)
+def test_codec_rejects(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_checksum_avalanche_exhaustive():
@@ -69,38 +81,31 @@ def test_pack_bits_length_prefix():
     assert pack_bits([1] * 8) == b"\x00\x08\xff"
     # prefix disambiguates zero padding
     assert pack_bits([1, 0]) != pack_bits([1, 0, 0])
-    with pytest.raises(ValueError):
-        pack_bits([0, 2])
 
 
 # -- block build / verify --------------------------------------------------------
-
-
-def test_build_block_lengths():
-    m = [1, 0, 1, 1]  # n = 32
-    block = build_block(m)
-    assert len(block) == 8
-    assert block[:4] == m
-    assert block[4:] == hash_checksum(m)
 
 
 def test_build_block_pinned():
     assert build_block([1, 0, 1, 1]) == [1, 0, 1, 1, 1, 1, 0, 0]
 
 
-def test_round_trip_exhaustive_small():
-    for length in (2, 3, 4):  # covers every message for n <= 32
-        for bits in product((0, 1), repeat=length):
-            ok, m = verify_block(build_block(list(bits)))
-            assert ok and m == list(bits)
-
-
-def test_round_trip_randomized_large():
+def random_messages():
     rng = Random(9)
     for _ in range(200):
-        m = random_bits(rng.choice([8, 16, 32]), rng)
-        ok, decoded = verify_block(build_block(m))
-        assert ok and decoded == m
+        yield random_bits(rng.choice([8, 16, 32]), rng)
+
+
+@pytest.mark.parametrize(
+    "messages",
+    [lambda: (list(m) for k in (2, 3, 4) for m in product((0, 1), repeat=k)), random_messages],
+    ids=["exhaustive_small", "randomized_large"],  # every message for n <= 32; 200 up to n = 256
+)
+def test_round_trip(messages):
+    for m in messages():
+        block = build_block(m)
+        assert block == m + hash_checksum(m)  # the message, then its checksum
+        assert verify_block(block) == (True, m)
 
 
 def test_flipped_tail_bit_always_rejects():
@@ -127,11 +132,6 @@ def test_single_message_bit_flip_detection_is_exact():
                 block[i] ^= 1
                 cases += 1
         assert Fraction(caught, cases) == exact, n
-
-
-def test_verify_block_odd_length_rejected():
-    with pytest.raises(ValueError):
-        verify_block([0, 1, 0])
 
 
 def test_forgery_bound_random_blocks():
@@ -163,25 +163,6 @@ def test_encode_measure_decode_round_trip():
 
 
 # -- hex plumbing -----------------------------------------------------------------
-
-
-def test_hex_round_trip():
-    rng = Random(12)
-    for nbits in (2, 4, 7, 16, 33):
-        bits = random_bits(nbits, rng)
-        assert hex_to_bits(bits_to_hex(bits), nbits) == bits
-
-
-def test_hex_to_bits_too_short():
-    with pytest.raises(ValueError):
-        hex_to_bits("a", 5)
-    # too long: exactly ceil(nbits/4) digits, so nothing is dropped unseen
-    for text, nbits in (("ab", 4), ("abc", 8), ("0f", 2)):
-        with pytest.raises(ValueError, match="hex digits"):
-            hex_to_bits(text, nbits)
-    assert hex_to_bits("f", 2) == [1, 1]  # the padding bits of the last digit
-    with pytest.raises(ValueError):
-        bits_to_hex([0, 2])
 
 
 # -- equivalence with the per-bit loops ----------------------------------------
@@ -221,6 +202,7 @@ def loop_hex_to_bits(text, nbits):
 
 
 def test_pack_and_hex_match_loops_for_every_length():
+    assert hex_to_bits("f", 2) == [1, 1]  # the padding bits of the last digit
     rng = Random(13)
     for length in range(301):
         bits = [rng.randrange(2) for _ in range(length)]

@@ -2,7 +2,6 @@
 
 import hashlib
 from itertools import combinations
-from math import comb
 from random import Random
 
 import pytest
@@ -26,39 +25,42 @@ from test_codec import loop_pack_bits
 
 def test_gen_keys_shapes():
     keys = gen_keys(16, Random(0))
-    assert len(keys.k1) == 16
-    assert sum(keys.k1) == 8
-    assert len(keys.k2) == 8
+    assert (len(keys.k1), sum(keys.k1), len(keys.k2)) == (16, 8, 8)
+    assert gen_keys(16, Random(0), include_k2=False).k2 is None
 
 
 def test_gen_keys_deterministic():
     assert gen_keys(32, Random(5)) == gen_keys(32, Random(5))
+    assert len({gen_keys(32, Random(seed)) for seed in range(100)}) == 100
 
 
-def test_gen_keys_distinct_seeds_distinct_keys():
-    seen = {gen_keys(32, Random(seed)) for seed in range(100)}
-    assert len(seen) == 100
+KEYS = KeyMaterial(k1=(0, 1, 1, 0))
+BAD_N = (0, 8, 12, 17, 20, 2056)
 
 
-def test_gen_keys_invalid_n():
-    for n in (0, 8, 12, 17, 20, 2056):
-        with pytest.raises(ValueError):
-            gen_keys(n, Random(0))
-
-
-def test_gen_keys_without_k2():
-    assert gen_keys(16, Random(0), include_k2=False).k2 is None
-
-
-def test_key_material_validation():
-    with pytest.raises(ValueError):
-        KeyMaterial(k1=(1, 1, 0, 1))  # unbalanced
-    with pytest.raises(ValueError):
-        KeyMaterial(k1=(0, 1, 1, 0), k2=(0,))  # wrong k2 length
-    with pytest.raises(ValueError, match="bits"):
-        KeyMaterial(k1=(2, 0, 0, 0))  # passes the balance sum, but 2 is not a bit
-    with pytest.raises(ValueError, match="bits"):
-        KeyMaterial(k1=(0, 1, 1, 0), k2=(7, 0))
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        *((lambda n=n: gen_keys(n, Random(0)), None) for n in BAD_N),
+        # an unbalanced k1 never reaches interleave or deinterleave: the type rejects it
+        (lambda: KeyMaterial(k1=(1, 1, 0, 1)), "balanced"),
+        (lambda: KeyMaterial(k1=(1, 1, 1, 0)), "balanced"),
+        (lambda: KeyMaterial(k1=(0, 1, 1, 0), k2=(0,)), None),  # wrong k2 length
+        (lambda: KeyMaterial(k1=(2, 0, 0, 0)), "bits"),  # passes the balance sum, but 2 is not a bit
+        (lambda: KeyMaterial(k1=(0, 1, 1, 0), k2=(7, 0)), "bits"),
+        (lambda: interleave([1], [2, 3], KEYS), "equal length"),
+        (lambda: interleave([1], [2], KEYS), "k1 length"),
+        (lambda: deinterleave([1, 2, 3], KEYS), "sequence length must equal k1 length"),
+        (lambda: apply_perm((1, 0), [1, 2, 3]), None),
+        (lambda: invert_perm((1, 0), [1, 2, 3]), None),
+    ],
+    ids=[*(f"gen_keys-n{n}" for n in BAD_N), "k1-1101", "k1-1110", "k2-length", "k1-non-bit",
+         "k2-non-bit", "interleave-unequal", "interleave-k1-length", "deinterleave-length",
+         "apply_perm-length", "invert_perm-length"],
+)
+def test_keys_and_permutations_reject(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # -- the draws pinned to the stdlib ------------------------------------------------
@@ -119,84 +121,42 @@ def test_trial_setup_matches_stdlib_draws():
 # -- interleaving -----------------------------------------------------------------
 
 
-def test_interleave_example():
-    keys = KeyMaterial(k1=(0, 1, 1, 0))
-    assert interleave(["a", "b"], ["x", "y"], keys) == ["a", "x", "y", "b"]
+@pytest.mark.parametrize(
+    "k1, s, cb, q",
+    [("0110", "ab", "xy", "axyb"), ("00001111", "abcd", "wxyz", "abcdwxyz"), ("1100", "ab", "xy", "xyab")],
+)
+def test_interleave_example(k1, s, cb, q):
+    keys = KeyMaterial(k1=tuple(map(int, k1)))
+    assert interleave(list(s), list(cb), keys) == list(q)
+    assert deinterleave(list(q), keys) == (list(s), list(cb))
 
 
-def test_interleave_degenerate_pattern():
-    keys = KeyMaterial(k1=(0,) * 4 + (1,) * 4)
-    s = list("abcd")
-    cb = list("wxyz")
-    assert interleave(s, cb, keys) == s + cb
+def every_balanced_k1_n16():
+    for ones in combinations(range(16), 8):  # the C(16,8) = 12870 hidden splits
+        yield KeyMaterial(k1=tuple(1 if i in ones else 0 for i in range(16)))
 
 
-def test_deinterleave_example():
-    keys = KeyMaterial(k1=(0, 1, 1, 0))
-    assert deinterleave(["a", "x", "y", "b"], keys) == (["a", "b"], ["x", "y"])
-
-
-def test_interleave_validation():
-    keys = KeyMaterial(k1=(0, 1, 1, 0))
-    with pytest.raises(ValueError, match="equal length"):
-        interleave([1], [2, 3], keys)
-    with pytest.raises(ValueError, match="k1 length"):
-        interleave([1], [2], keys)
-    with pytest.raises(ValueError, match="sequence length must equal k1 length"):
-        deinterleave([1, 2, 3], keys)
-    # an unbalanced k1 never reaches either function: the type rejects it
-    with pytest.raises(ValueError, match="balanced"):
-        KeyMaterial(k1=(1, 1, 1, 0))
-
-
-def test_round_trip_exhaustive_n16():
-    # every balanced 16-bit key
-    q = list(range(16))
-    for ones in combinations(range(16), 8):
-        keys = KeyMaterial(k1=tuple(1 if i in ones else 0 for i in range(16)))
-        s, cb = deinterleave(q, keys)
-        assert interleave(s, cb, keys) == q
-    assert comb(16, 8) == 12870  # the size of the hidden-split space
-
-
-def test_round_trip_randomized_large():
+def random_keys():
     rng = Random(21)
     for _ in range(100):
-        n = rng.choice([32, 64])
-        keys = gen_keys(n, rng, include_k2=False)
-        s = [("s", i) for i in range(n // 2)]
-        cb = [("c", i) for i in range(n // 2)]
-        q = interleave(s, cb, keys)
-        assert deinterleave(q, keys) == (s, cb)
+        yield gen_keys(rng.choice([32, 64]), rng, include_k2=False)
 
 
-def test_split_hiding_operational():
-    # a keyless guesser picking a uniform balanced split finds the true one
-    # with frequency at most 2/C(16,8) over 1e5 attempts
-    rng = Random(2)
-    trials = 100_000
-    hits = 0
-    base = [0] * 8 + [1] * 8
-    for _ in range(trials):
-        true = list(base)
-        rng.shuffle(true)
-        guess = list(base)
-        rng.shuffle(guess)
-        if guess == true:
-            hits += 1
-    assert hits / trials <= 2 / comb(16, 8)
+@pytest.mark.parametrize("key_source", [every_balanced_k1_n16, random_keys])
+def test_deinterleave_inverts_interleave(key_source):
+    for keys in key_source():
+        q = list(range(len(keys.k1)))
+        s, cb = deinterleave(q, keys)
+        assert interleave(s, cb, keys) == q
 
 
 # -- permutations -----------------------------------------------------------------
 
 
-def test_permutation_from_key_deterministic():
-    k = [1, 0, 1, 1, 0, 0, 1, 0]
-    assert permutation_from_key(k) == permutation_from_key(k)
-
-
 def test_permutation_pinned_regression():
-    assert permutation_from_key([1, 0, 1, 1, 0, 0, 1, 0]) == (0, 2, 5, 7, 1, 4, 3, 6)
+    k = [1, 0, 1, 1, 0, 0, 1, 0]
+    assert permutation_from_key(k) == (0, 2, 5, 7, 1, 4, 3, 6)
+    assert permutation_from_key(k) == permutation_from_key(k)
 
 
 def test_permutation_pinned_regression_n256():
@@ -205,15 +165,11 @@ def test_permutation_pinned_regression_n256():
         "1101011111111110000110000001111010100000111101110111001110111011"
         "1111011001011001110100011111110111000001011101000001100010001000"
     )]
-    assert permutation_from_key(k) == (
-        91, 72, 62, 36, 26, 117, 15, 93, 54, 30, 64, 9, 106, 20, 84, 78,
-        21, 4, 100, 101, 89, 24, 71, 88, 126, 10, 81, 119, 57, 85, 60, 107,
-        79, 104, 87, 43, 122, 17, 113, 18, 66, 49, 37, 35, 115, 109, 75, 0,
-        125, 118, 86, 14, 1, 83, 50, 112, 68, 32, 34, 110, 73, 124, 58, 7,
-        42, 108, 16, 127, 45, 63, 92, 56, 25, 28, 82, 98, 69, 55, 61, 46,
-        123, 48, 97, 59, 5, 40, 22, 6, 53, 38, 111, 11, 90, 95, 13, 23,
-        105, 76, 94, 2, 114, 39, 41, 99, 31, 52, 12, 121, 96, 120, 67, 116,
-        3, 65, 77, 74, 29, 8, 47, 80, 102, 70, 103, 19, 51, 27, 44, 33,
+    assert bytes(permutation_from_key(k)).hex() == (  # one byte an entry
+        "5b483e241a750f5d361e40096a14544e15046465591847587e0a517739553c6b"
+        "4f68572b7a11711242312523736d4b007d76560e015332704420226e497c3a07"
+        "2a6c107f2d3f5c38191c526245373d2e7b30613b0528160635266f0b5a5f0d17"
+        "694c5e02722729631f340c796078437403414d4a1d082f5066466713331b2c21"
     )
 
 
@@ -284,10 +240,3 @@ def test_identity_and_reversal_permutations():
     # position i goes to p[i]; inverting reads position p[i] back
     assert apply_perm((1, 2, 0), ["a", "b", "c"]) == ["c", "a", "b"]
     assert invert_perm((1, 2, 0), ["c", "a", "b"]) == ["a", "b", "c"]
-
-
-def test_permutation_validation():
-    with pytest.raises(ValueError):
-        apply_perm((1, 0), [1, 2, 3])
-    with pytest.raises(ValueError):
-        invert_perm((1, 0), [1, 2, 3])

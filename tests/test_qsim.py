@@ -5,8 +5,8 @@ and agreement with the dense full-register oracle on random scripts
 (outcomes, Bell-outcome probabilities and the full state after each step)."""
 
 import itertools
-import math
 import re
+from collections import Counter
 from random import Random
 
 import pytest
@@ -22,33 +22,50 @@ from dense_oracle import DenseRegister, snapshot_amplitudes, states_equal
 
 INV_SQRT2 = 2 ** -0.5
 
-CHI2_CRIT_DF3_P01 = 11.345  # chi-square critical value, df=3, alpha=0.01
+CHI2_CRIT_DF3_P01 = 11.345  # chi-square critical value, df=3, alpha=0.01; criterion 4 reads it
 
 
 # -- preparation -------------------------------------------------------------
 
 
-def test_alloc_basis_states():
+@pytest.mark.parametrize(
+    "state, amps",
+    [
+        (0, [1, 0]),
+        (1, [0, 1]),
+        (BellState.PHI_PLUS, [INV_SQRT2, 0, 0, INV_SQRT2]),
+        (BellState.PSI_MINUS, [0, INV_SQRT2, -INV_SQRT2, 0]),
+    ],
+)
+def test_prepared_amplitudes(state, amps):
     reg = QuantumRegister(0)
-    q0 = reg.alloc_qubit(0)
-    q1 = reg.alloc_qubit(1)
-    assert snapshot_amplitudes(reg.component_snapshot(q0))[1] == (1, 0)
-    assert snapshot_amplitudes(reg.component_snapshot(q1))[1] == (0, 1)
+    qubits = reg.prepare_bell(state) if state in BELL_ORDER else (reg.alloc_qubit(state),)
+    got_qubits, got = snapshot_amplitudes(reg.component_snapshot(qubits[0]))
+    assert got_qubits == qubits
+    assert states_equal(got, amps)
 
 
-def test_alloc_rejects_non_bit():
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda reg: reg.alloc_qubit(2), None),
+        *((lambda reg, op=op: reg.apply_pauli(0, op), re.escape(repr(op)))
+          for op in ("X", None, BellState.PHI_PLUS)),
+        (lambda reg: reg.measure_z(99), "unknown qubit id 99"),
+        (lambda reg: reg.measure_z(1, 99, 2), "unknown qubit id 99"),
+        (lambda reg: reg.bell_measure(1, 1), None),
+        (lambda reg: reg.bell_measure(1, 1234), None),
+    ],
+    ids=["alloc-non-bit", "pauli-str", "pauli-none", "pauli-bell-state", "measure-unknown",
+         "measure-unknown-among-known", "bell-identical", "bell-unknown"],
+)
+def test_register_rejects(call, message):
     reg = QuantumRegister(0)
-    with pytest.raises(ValueError):
-        reg.alloc_qubit(2)
-
-
-def test_apply_pauli_rejects_non_pauli():
-    reg = QuantumRegister(0)
-    q = reg.alloc_qubit(0)
-    for op in ("X", None, BellState.PHI_PLUS):
-        with pytest.raises(ValueError, match=re.escape(repr(op))):
-            reg.apply_pauli(q, op)
-    assert reg.measure_z(q) == (0,)
+    reg.alloc_qubit(0)
+    reg.prepare_bell(BellState.PHI_PLUS)
+    with pytest.raises(ValueError, match=message):
+        call(reg)
+    assert reg.measure_z(0) == (0,)  # the basis qubit is untouched
 
 
 def test_alloc_then_measure_is_deterministic():
@@ -57,21 +74,6 @@ def test_alloc_then_measure_is_deterministic():
         for _ in range(50):
             q = reg.alloc_qubit(b)
             assert reg.measure_z(q) == (b,)
-
-
-def test_prepare_phi_plus_amplitudes():
-    reg = QuantumRegister(0)
-    qa, qb = reg.prepare_bell(BellState.PHI_PLUS)
-    qubits, amps = snapshot_amplitudes(reg.component_snapshot(qa))
-    assert qubits == (qa, qb)
-    assert states_equal(amps, [INV_SQRT2, 0, 0, INV_SQRT2])
-
-
-def test_prepare_psi_minus_amplitudes():
-    reg = QuantumRegister(0)
-    qa, _ = reg.prepare_bell(BellState.PSI_MINUS)
-    _, amps = snapshot_amplitudes(reg.component_snapshot(qa))
-    assert states_equal(amps, [0, INV_SQRT2, -INV_SQRT2, 0])
 
 
 def test_bell_states_orthonormal():
@@ -98,48 +100,23 @@ def test_qubit_ids_never_reused():
 # -- Z measurement -----------------------------------------------------------
 
 
-def test_measure_collapse_partners_agree():
-    reg = QuantumRegister(42)
+@pytest.mark.parametrize("state, seed", [(BellState.PHI_PLUS, 42), (BellState.PSI_MINUS, 43)])
+def test_measured_partners_read_the_parity(state, seed):
+    # Phi+ partners agree in Z, Psi- partners disagree
+    reg = QuantumRegister(seed)
     for _ in range(500):
-        qa, qb = reg.prepare_bell(BellState.PHI_PLUS)
-        assert reg.measure_z(qa) == reg.measure_z(qb)
-
-
-def test_psi_minus_partners_disagree():
-    reg = QuantumRegister(43)
-    for _ in range(500):
-        qa, qb = reg.prepare_bell(BellState.PSI_MINUS)
-        assert reg.measure_z(qa) != reg.measure_z(qb)
-
-
-def test_born_statistics_on_bell_half():
-    reg = QuantumRegister(7)
-    zeros = 0
-    trials = 100_000
-    for _ in range(trials):
-        qa, _ = reg.prepare_bell(BellState.PHI_PLUS)
-        if reg.measure_z(qa) == (0,):
-            zeros += 1
-        if len(reg.live_qubits()) > 4000:
-            reg = QuantumRegister(reg.rng.getrandbits(32))
-    assert abs(zeros / trials - 0.5) < 0.01
+        qa, qb = reg.prepare_bell(state)
+        (a,), (b,) = reg.measure_z(qa), reg.measure_z(qb)
+        assert a ^ b == (state is BellState.PSI_MINUS)
 
 
 def test_measurement_splits_component():
     reg = QuantumRegister(0)
     qa, qb = reg.prepare_bell(BellState.PHI_PLUS)
+    assert reg.component_snapshot(qa) == reg.component_snapshot(qa)  # a snapshot is a pure read
     (b,) = reg.measure_z(qa)
     assert reg.component_snapshot(qa) == ((qa,), b)
     assert reg.component_snapshot(qb) == ((qb,), b)
-
-
-def test_measure_unknown_qubit():
-    reg = QuantumRegister(0)
-    with pytest.raises(ValueError, match="unknown qubit id 99"):
-        reg.measure_z(99)
-    reg.prepare_bell(BellState.PHI_PLUS)
-    with pytest.raises(ValueError, match="unknown qubit id 99"):
-        reg.measure_z(0, 99, 1)
 
 
 # -- Bell measurement ----------------------------------------------------------
@@ -156,45 +133,26 @@ def test_bell_measure_eigenstate_repeats():
 
 def test_bell_measure_product_00():
     # |00> = (Phi+ + Phi-)/sqrt(2)
-    reg = QuantumRegister(11)
-    counts = {bs: 0 for bs in BELL_ORDER}
-    trials = 4000
+    reg, counts, trials = QuantumRegister(11), Counter(), 4000
     for _ in range(trials):
-        qa = reg.alloc_qubit(0)
-        qb = reg.alloc_qubit(0)
-        counts[reg.bell_measure(qa, qb)] += 1
+        counts[reg.bell_measure(reg.alloc_qubit(0), reg.alloc_qubit(0))] += 1
         if len(reg.live_qubits()) > 4000:
             reg = QuantumRegister(reg.rng.getrandbits(32))
-    assert counts[BellState.PSI_PLUS] == 0
-    assert counts[BellState.PSI_MINUS] == 0
+    assert counts[BellState.PSI_PLUS] == counts[BellState.PSI_MINUS] == 0
     assert abs(counts[BellState.PHI_PLUS] / trials - 0.5) < 0.05
 
 
-def test_bell_measure_probabilities_product_00():
-    reg = QuantumRegister(0)
-    qa = reg.alloc_qubit(0)
-    qb = reg.alloc_qubit(0)
-    probs = reg.bell_probabilities(qa, qb)
-    assert abs(probs[BellState.PHI_PLUS] - 0.5) < 1e-12
-    assert abs(probs[BellState.PHI_MINUS] - 0.5) < 1e-12
-    assert probs[BellState.PSI_PLUS] < 1e-12
-    assert probs[BellState.PSI_MINUS] < 1e-12
-
-
-def test_bell_measure_across_independent_pairs_uniform():
-    # chi-square uniformity over the four outcomes, 1e5 draws
-    reg = QuantumRegister(17)
-    counts = {bs: 0 for bs in BELL_ORDER}
-    trials = 100_000
-    for _ in range(trials):
-        qa, _ = reg.prepare_bell(BellState.PHI_PLUS)
-        _, qb = reg.prepare_bell(BellState.PSI_MINUS)
-        counts[reg.bell_measure(qa, qb)] += 1
-        if len(reg.live_qubits()) > 4000:
-            reg = QuantumRegister(reg.rng.getrandbits(32))
-    expected = trials / 4
-    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
-    assert chi2 < CHI2_CRIT_DF3_P01
+@pytest.mark.parametrize(
+    "a, b", [(0, 0), *itertools.product((BellState.PHI_PLUS, BellState.PSI_MINUS), repeat=2)]
+)
+def test_bell_probabilities_exact(a, b):
+    reg = QuantumRegister(7)
+    if a == 0:  # |00> = (Phi+ + Phi-)/sqrt(2)
+        qubits, probs = (reg.alloc_qubit(0), reg.alloc_qubit(0)), (0.5, 0.5, 0, 0)
+    else:  # a checking qubit measured against a stranger from another pair
+        qubits, probs = (reg.prepare_bell(a)[0], reg.prepare_bell(b)[1]), (0.25,) * 4
+    got = reg.bell_probabilities(*qubits)
+    assert all(abs(got[bs] - p) < 1e-12 for bs, p in zip(BELL_ORDER, probs, strict=True))
 
 
 def test_bell_measure_entanglement_swap():
@@ -319,76 +277,36 @@ def test_bell_measure_closed_form_at_boundaries():
             assert states_equal(engine_state(eng, orc.qubits), orc.amps), (qa, qb, u)
 
 
-def test_bell_measure_identical_qubits_rejected():
-    reg = QuantumRegister(0)
-    qa, _ = reg.prepare_bell(BellState.PHI_PLUS)
-    with pytest.raises(ValueError):
-        reg.bell_measure(qa, qa)
-
-
-def test_bell_measure_unknown_qubit():
-    reg = QuantumRegister(0)
-    qa, _ = reg.prepare_bell(BellState.PHI_PLUS)
-    with pytest.raises(ValueError):
-        reg.bell_measure(qa, 1234)
-
-
 # -- Pauli unitaries -----------------------------------------------------------
 
 
-def test_iy_turns_phi_plus_into_psi_minus():
+@pytest.mark.parametrize(
+    "state, half, pauli, expected",
+    [
+        (BellState.PHI_PLUS, 0, Pauli.IY, BellState.PSI_MINUS),
+        (BellState.PSI_MINUS, 1, Pauli.IY, BellState.PHI_PLUS),
+        (BellState.PHI_PLUS, 1, Pauli.X, BellState.PSI_PLUS),
+        (BellState.PHI_PLUS, 0, Pauli.Z, BellState.PHI_MINUS),
+        (1, 0, Pauli.IY, 0),
+        (0, 0, Pauli.IY, 1),  # iY|0> = -|1>; the engine keeps no global phase
+        (0, 0, Pauli.X, 1),
+        (0, 0, Pauli.Z, 0),
+    ],
+)
+def test_pauli_action(state, half, pauli, expected):
     reg = QuantumRegister(0)
-    qa, qb = reg.prepare_bell(BellState.PHI_PLUS)
-    reg.apply_pauli(qa, Pauli.IY)
-    assert reg.bell_measure(qa, qb) == BellState.PSI_MINUS
-
-
-def test_iy_turns_psi_minus_into_phi_plus():
-    reg = QuantumRegister(0)
-    qa, qb = reg.prepare_bell(BellState.PSI_MINUS)
-    reg.apply_pauli(qb, Pauli.IY)
-    assert reg.bell_measure(qa, qb) == BellState.PHI_PLUS
-
-
-def test_iy_on_one():
-    # iY maps |1> to |0>
-    reg = QuantumRegister(0)
-    q = reg.alloc_qubit(1)
-    reg.apply_pauli(q, Pauli.IY)
-    assert reg.measure_z(q) == (0,)
-
-
-def test_iy_on_zero_reads_one_up_to_global_phase():
-    # iY|0> = -|1>; the engine keeps no global phase
-    reg = QuantumRegister(0)
-    q = reg.alloc_qubit(0)
-    reg.apply_pauli(q, Pauli.IY)
-    assert reg.component_snapshot(q) == ((q,), 1)
-    assert reg.measure_z(q) == (1,)
-
-
-def test_x_flips_basis_state():
-    reg = QuantumRegister(0)
-    q = reg.alloc_qubit(0)
-    reg.apply_pauli(q, Pauli.X)
-    assert reg.measure_z(q) == (1,)
-
-
-def test_z_leaves_zero_unchanged():
-    reg = QuantumRegister(0)
-    q = reg.alloc_qubit(0)
-    before = reg.component_snapshot(q)
-    reg.apply_pauli(q, Pauli.Z)
-    assert reg.component_snapshot(q) == before
+    if state in BELL_ORDER:
+        pair = reg.prepare_bell(state)
+        reg.apply_pauli(pair[half], pauli)
+        assert reg.bell_measure(*pair) == expected
+    else:
+        q = reg.alloc_qubit(state)
+        reg.apply_pauli(q, pauli)
+        assert reg.component_snapshot(q) == ((q,), expected)
+        assert reg.measure_z(q) == (expected,)
 
 
 # -- snapshots, normalization, determinism -------------------------------------
-
-
-def test_snapshot_is_pure_read():
-    reg = QuantumRegister(0)
-    qa, _ = reg.prepare_bell(BellState.PHI_PLUS)
-    assert reg.component_snapshot(qa) == reg.component_snapshot(qa)
 
 
 def test_normalization_maintained_under_random_ops():
@@ -413,14 +331,8 @@ def test_normalization_maintained_under_random_ops():
 def test_determinism_same_seed_same_outcomes():
     def run(seed):
         reg = QuantumRegister(seed)
-        out = []
-        for _ in range(100):
-            qa, qb = reg.prepare_bell(BellState.PHI_PLUS)
-            qc, qd = reg.prepare_bell(BellState.PSI_MINUS)
-            out.append(reg.measure_z(qa))
-            out.append(reg.bell_measure(qb, qc))
-            out.append(reg.measure_z(qd))
-        return out
+        pairs = [reg.prepare_bell(BellState.PHI_PLUS, BellState.PSI_MINUS) for _ in range(100)]
+        return [(reg.measure_z(a), reg.bell_measure(b, c), reg.measure_z(d)) for a, b, c, d in pairs]
 
     assert run(1234) == run(1234)
     assert run(1234) != run(4321)
