@@ -97,18 +97,18 @@ class QuantumRegister:
     # -- measurement -----------------------------------------------------
 
     def measure_z(self, *qubits: int) -> tuple[int, ...]:
-        """Measure qubits in the computational basis, in the order given, with
-        Born-rule collapse; one outcome and one uniform draw per qubit. A
-        measured qubit becomes a basis qubit, and a Bell partner is left in
-        the basis state its Z parity x fixes: outcome ^ x."""
+        """Check every id, then measure the qubits in the computational basis,
+        in the order given, with Born-rule collapse; one outcome and one
+        uniform draw per qubit. A measured qubit becomes a basis qubit, and a
+        Bell partner is left in the basis state its Z parity x fixes: outcome ^ x."""
         comp_of = self._comp_of
+        if not all(map(comp_of.__contains__, qubits)):
+            unknown = next(q for q in qubits if q not in comp_of)
+            raise ValueError(f"unknown qubit id {unknown!r}")
         random = self.rng.random
         outcomes = []
         for q in qubits:
-            try:
-                partner, label = comp_of[q]
-            except KeyError:
-                raise ValueError(f"unknown qubit id {q!r}") from None
+            partner, label = comp_of[q]
             u = random()
             if partner != q:  # else a basis qubit, certain to read label
                 x, label = label >> 1, 0 if u < 0.5 else 1

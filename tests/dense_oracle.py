@@ -9,6 +9,10 @@ The oracle states the only amplitudes in the project: each Bell vector is
 (I ⊗ X^x Z^z)|Φ+> for its BELL_ORDER index 2x + z, built with the oracle's
 own Pauli matrices. The engine stores labels, and `snapshot_amplitudes` reads
 its component snapshots through these vectors and the two basis vectors.
+
+It is the engine's one reference: `engine_state`, `assert_components_shared`,
+`FixedUniform` and `run_scripted_comparison` below are the helpers every test
+that compares the engine with the oracle calls.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from math import sqrt
 from random import Random
 
-from sqdc.qsim import BELL_ORDER, BellState, Pauli
+from sqdc.qsim import BELL_ORDER, BellState, Pauli, QuantumRegister
 
 NORM_ATOL = 1e-9
 
@@ -204,3 +208,92 @@ def states_equal(a, b, atol: float = NORM_ATOL) -> bool:
     if abs(abs(phase) - 1.0) > 1e-6:
         return False
     return all(abs(x - phase * y) <= atol * 10 for x, y in zip(a, b))
+
+
+# -- comparing the engine with the oracle ------------------------------------
+
+
+class FixedUniform:
+    """Stands in for a register's rng: every uniform is u, and draws are counted."""
+
+    def __init__(self, u):
+        self.u = u
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return self.u
+
+
+def engine_state(eng, order):
+    """The engine's full state: the tensor product of its component snapshots,
+    read as amplitudes through the oracle's vectors, with the qubits in `order`
+    (first qubit owns the most significant bit)."""
+    qubits, amps = [], [1 + 0j]
+    for q in eng.live_qubits():
+        if q not in qubits:
+            comp_qubits, comp_amps = snapshot_amplitudes(eng.component_snapshot(q))
+            qubits += comp_qubits
+            amps = [a * b for a in amps for b in comp_amps]
+    k = len(qubits)
+    shifts = [k - 1 - order.index(q) for q in qubits]
+    out = [0j] * len(amps)
+    for i, a in enumerate(amps):
+        out[sum(1 << s for pos, s in enumerate(shifts) if (i >> (k - 1 - pos)) & 1)] = a
+    return out
+
+
+def assert_components_shared(eng):
+    """Each live qubit's component lists it, and every qubit it lists reads
+    the same snapshot: a component is one value bound to all of its qubits."""
+    for q in eng.live_qubits():
+        snapshot = eng.component_snapshot(q)
+        assert q in snapshot[0]
+        for p in snapshot[0]:
+            assert eng.component_snapshot(p) == snapshot, (q, p)
+
+
+def run_scripted_comparison(seed, script_rng, steps=20, max_qubits=8):
+    """Run one random script on an engine and an oracle seeded alike: the ids,
+    every outcome and the full state after each step must agree, and each
+    component must be shared by its qubits. Returns the worst Bell-outcome
+    probability deviation."""
+    eng = QuantumRegister(seed)
+    orc = DenseRegister(seed)
+    live = []
+    worst = 0.0
+    for _ in range(steps):
+        choices = []
+        if len(live) <= max_qubits - 2:
+            choices += ["alloc", "bell"]
+        if live:
+            choices += ["mz", "pauli"]
+        if len(live) >= 2:
+            choices += ["bm"]
+        op = script_rng.choice(choices)
+        if op == "alloc":
+            b = script_rng.randrange(2)
+            assert eng.alloc_qubit(b) == orc.alloc_qubit(b)
+            live.append(eng.live_qubits()[-1])
+        elif op == "bell":
+            bs = script_rng.choice(list(BELL_ORDER))
+            pair = eng.prepare_bell(bs)
+            assert pair == orc.prepare_bell(bs)
+            live.extend(pair)
+        elif op == "mz":
+            q = script_rng.choice(live)
+            (b,) = eng.measure_z(q)
+            assert b == orc.measure_z(q)
+        elif op == "pauli":
+            q = script_rng.choice(live)
+            p = script_rng.choice(list(Pauli))
+            eng.apply_pauli(q, p)
+            orc.apply_pauli(q, p)
+        else:
+            qa, qb = script_rng.sample(live, 2)
+            pe, po = eng.bell_probabilities(qa, qb), orc.bell_probabilities(qa, qb)
+            worst = max(worst, max(abs(pe[bs] - po[bs]) for bs in BELL_ORDER))
+            assert eng.bell_measure(qa, qb) == orc.bell_measure(qa, qb)
+        assert_components_shared(eng)
+        assert states_equal(engine_state(eng, orc.qubits), orc.amps)
+    return worst

@@ -13,10 +13,12 @@ Each mutant runs on a temporary copy of the tree, removed however the run ends,
 with one pytest process at a time; the checkout is never written. The test files
 run fastest first and tests/test_acceptance.py last, all but the guard, which
 fails on every mutant. Tier-1 first runs on a copy with no mutant, and the run
-exits 1 unless that passes, then unless every mutant parses and is killed by a
-failing pytest exit. The pins (tests/test_pins.py and perfbench's gate) fail on
-most mutants, but a re-pin rewrites them, so when the kill matrix decides which
-tests carry weight, they do not count.
+exits 1 unless that passes, then unless every mutant parses and is killed: pytest
+exits 1 naming a failing test, or times out. Any other pytest exit (an internal
+error, an interrupt, no tests) stops the run with exit 1, counting nothing. The
+pins (tests/test_pins.py and perfbench's gate) fail on most mutants, but a re-pin
+rewrites them, so when the kill matrix decides which tests carry weight, they do
+not count.
 """
 
 import argparse
@@ -57,6 +59,15 @@ MUTANTS = [
     ("qsim.py", "if bit not in (0, 1):", "if bit not in (0, 1, 2):", "alloc_qubit rejects a non-bit"),
     ("qsim.py", "(min(p, q), max(p, q))", "(q, p)", "a snapshot lists the lower id first"),
     ("qsim.py", "self.rng = Random(seed)", "self.rng = Random()", "a register replays from its seed"),
+    ("qsim.py", "q = len(self._comp_of)", "q = max(len(self._comp_of) - 1, 0)",
+     "qubit ids are never reused"),
+    ("qsim.py", "if partner != q:", "if True:", "a basis qubit reads its bit in Z"),
+    ("qsim.py", "comp_of[q] = (q, label)", "comp_of[q] = (partner, label)",
+     "a Z measurement splits a pair"),
+    ("qsim.py", "return BELL_ORDER[la]\n", "return BELL_ORDER[la ^ 1]\n",
+     "a same-pair Bell measurement reads the pair's state"),
+    ("qsim.py", "all(map(comp_of.__contains__, qubits))", "all(map(comp_of.__contains__, qubits[:1]))",
+     "measure_z checks every id before it draws"),
     # codec: the block and its checksum
     ("codec.py", "hashlib.sha256(pack_bits(m)).digest()", "hashlib.sha256(pack_bits(m)).digest()[::-1]",
      "the checksum is the leading digest bits"),
@@ -224,10 +235,12 @@ def run(mutant, matrix: bool):
         except subprocess.TimeoutExpired:
             return [f"timeout after {TIMEOUT} s"], time.monotonic() - start
         failed = re.findall(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.M)
-        # any failing exit counts; an internal error or interrupt ends the run before its summary
-        if done.returncode and not failed:
+        # a kill is exit 1 naming a failing test; an internal error (3), an interrupt (2),
+        # a usage error (4) or no tests (5) shows nothing of the mutant, so it stops the run
+        if (done.returncode, bool(failed)) not in ((0, False), (1, True)):
             last = (done.stdout.strip().splitlines() or [""])[-1]
-            failed = [f"pytest exit {done.returncode}: {last}"]
+            sys.exit(f"pytest exit {done.returncode} on {mutant[3] if mutant else 'no mutant'}: "
+                     f"{last}\nthe run stops, and no mutant is counted")
         return failed, time.monotonic() - start
     finally:
         shutil.rmtree(tree, ignore_errors=True)

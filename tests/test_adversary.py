@@ -14,6 +14,7 @@ from sqdc.adversary import (
     ModifySingleQubit,
     ReflectAll,
 )
+from sqdc.harness import ExperimentConfig, run_experiment
 from sqdc.keys import deinterleave, gen_keys, random_bits
 from sqdc.protocol import DetectionCause, Variant, run_session
 from sqdc.qsim import BellState, QuantumRegister
@@ -102,6 +103,17 @@ def test_impersonate_bob_concrete_bypasses_bob():
     assert not any(o.security_event for o in outcomes)
     # blind guessing over subsets and orderings is detected almost surely
     assert sum(o.detected for o in outcomes) / len(outcomes) >= 0.99
+
+
+def test_impersonate_bob_guessed_key_bypasses_bob():
+    # measure-resend receiver impersonation: Eve runs Bob's steps with a guessed k1',
+    # so Alice accepts w.p. 619/8580 at n=16 (criterion 10), and Bob never does
+    config = ExperimentConfig(
+        Variant.MEASURE_RESEND, "impersonate_bob", 16, 400, 1010, attack_params={"mode": "concrete"}
+    )
+    stats = run_experiment(config)
+    assert stats.bob_accept_rate == 0.0
+    assert stats.cause_counts[DetectionCause.NONE.value] > 0
 
 
 def test_concrete_guess_matches_stdlib_sample():

@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from sqdc.codec import pack_bits
 from sqdc.keys import (
     KeyMaterial,
     _shuffle,
@@ -17,7 +18,6 @@ from sqdc.keys import (
     permutation_from_key,
     random_bits,
 )
-from test_codec import loop_pack_bits
 
 
 # -- generation -----------------------------------------------------------------
@@ -175,8 +175,8 @@ def test_permutation_pinned_regression_n256():
 
 def fisher_yates_reference(k, length):
     """The explicit Fisher-Yates loop that permutation_from_key replaced."""
-    # packed bit by bit, so a wrong codec.pack_bits cannot pass unseen
-    seed = int.from_bytes(hashlib.sha256(loop_pack_bits(k)).digest()[:8], "big")
+    # test_codec pins codec.pack_bits to a bit-by-bit loop for every length
+    seed = int.from_bytes(hashlib.sha256(pack_bits(k)).digest()[:8], "big")
     rng = Random(seed)
     mapping = list(range(length))
     for i in range(length - 1, 0, -1):

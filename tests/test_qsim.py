@@ -1,28 +1,29 @@
 """Tests for the exact engine, whose components are basis qubits and
-labelled Bell pairs: snapshots (read as amplitudes through the dense oracle's
-vectors), Born statistics, collapse, teleportation and entanglement swapping,
-and agreement with the dense full-register oracle on random scripts
-(outcomes, Bell-outcome probabilities and the full state after each step)."""
+labelled Bell pairs. Each Bell-measurement law (same-pair certainty,
+teleportation, entanglement swapping) is checked once, against the dense
+oracle, at every quarter boundary of the uniform, and random scripts compare
+every operation with it. The rest states what the oracle cannot: the paper's
+amplitudes and weights written by hand, the Pauli actions, the rejections,
+determinism and the sequence calls."""
 
 import itertools
 import re
-from collections import Counter
 from random import Random
 
 import pytest
 
-from sqdc.qsim import (
-    BELL_ORDER,
-    BellState,
-    Pauli,
-    QuantumRegister,
+from sqdc.qsim import BELL_ORDER, BellState, Pauli, QuantumRegister
+
+from dense_oracle import (
+    DenseRegister,
+    FixedUniform,
+    engine_state,
+    run_scripted_comparison,
+    snapshot_amplitudes,
+    states_equal,
 )
 
-from dense_oracle import DenseRegister, snapshot_amplitudes, states_equal
-
 INV_SQRT2 = 2 ** -0.5
-
-CHI2_CRIT_DF3_P01 = 11.345  # chi-square critical value, df=3, alpha=0.01; criterion 4 reads it
 
 
 # -- preparation -------------------------------------------------------------
@@ -63,22 +64,18 @@ def test_register_rejects(call, message):
     reg = QuantumRegister(0)
     reg.alloc_qubit(0)
     reg.prepare_bell(BellState.PHI_PLUS)
+    snapshots = [reg.component_snapshot(q) for q in reg.live_qubits()]
+    state = reg.rng.getstate()
     with pytest.raises(ValueError, match=message):
         call(reg)
-    assert reg.measure_z(0) == (0,)  # the basis qubit is untouched
-
-
-def test_alloc_then_measure_is_deterministic():
-    reg = QuantumRegister(0)
-    for b in (0, 1):
-        for _ in range(50):
-            q = reg.alloc_qubit(b)
-            assert reg.measure_z(q) == (b,)
+    # a refused call changes no component and draws nothing
+    assert [reg.component_snapshot(q) for q in reg.live_qubits()] == snapshots
+    assert reg.rng.getstate() == state
 
 
 def test_bell_states_orthonormal():
     # the engine's snapshots read through the oracle's vectors; the oracle's
-    # evolution checks them in test_same_pair_bell_measure_certain_in_both_orders
+    # evolution checks them in test_bell_measure_closed_form_at_boundaries
     reg = QuantumRegister(0)
     vectors = {
         bs: snapshot_amplitudes(reg.component_snapshot(reg.prepare_bell(bs)[0]))[1]
@@ -90,56 +87,7 @@ def test_bell_states_orthonormal():
             assert abs(dot - (1.0 if a is b else 0.0)) < 1e-12
 
 
-def test_qubit_ids_never_reused():
-    reg = QuantumRegister(0)
-    ids = [reg.alloc_qubit(0) for _ in range(10)]
-    ids += [q for _ in range(5) for q in reg.prepare_bell(BellState.PHI_PLUS)]
-    assert len(set(ids)) == len(ids)
-
-
-# -- Z measurement -----------------------------------------------------------
-
-
-@pytest.mark.parametrize("state, seed", [(BellState.PHI_PLUS, 42), (BellState.PSI_MINUS, 43)])
-def test_measured_partners_read_the_parity(state, seed):
-    # Phi+ partners agree in Z, Psi- partners disagree
-    reg = QuantumRegister(seed)
-    for _ in range(500):
-        qa, qb = reg.prepare_bell(state)
-        (a,), (b,) = reg.measure_z(qa), reg.measure_z(qb)
-        assert a ^ b == (state is BellState.PSI_MINUS)
-
-
-def test_measurement_splits_component():
-    reg = QuantumRegister(0)
-    qa, qb = reg.prepare_bell(BellState.PHI_PLUS)
-    assert reg.component_snapshot(qa) == reg.component_snapshot(qa)  # a snapshot is a pure read
-    (b,) = reg.measure_z(qa)
-    assert reg.component_snapshot(qa) == ((qa,), b)
-    assert reg.component_snapshot(qb) == ((qb,), b)
-
-
 # -- Bell measurement ----------------------------------------------------------
-
-
-def test_bell_measure_eigenstate_repeats():
-    reg = QuantumRegister(5)
-    for bs in BELL_ORDER:
-        for _ in range(20):
-            qa, qb = reg.prepare_bell(bs)
-            assert reg.bell_measure(qa, qb) == bs
-            assert reg.bell_measure(qa, qb) == bs  # projective repeatability
-
-
-def test_bell_measure_product_00():
-    # |00> = (Phi+ + Phi-)/sqrt(2)
-    reg, counts, trials = QuantumRegister(11), Counter(), 4000
-    for _ in range(trials):
-        counts[reg.bell_measure(reg.alloc_qubit(0), reg.alloc_qubit(0))] += 1
-        if len(reg.live_qubits()) > 4000:
-            reg = QuantumRegister(reg.rng.getrandbits(32))
-    assert counts[BellState.PSI_PLUS] == counts[BellState.PSI_MINUS] == 0
-    assert abs(counts[BellState.PHI_PLUS] / trials - 0.5) < 0.05
 
 
 @pytest.mark.parametrize(
@@ -155,71 +103,23 @@ def test_bell_probabilities_exact(a, b):
     assert all(abs(got[bs] - p) < 1e-12 for bs, p in zip(BELL_ORDER, probs, strict=True))
 
 
-def test_bell_measure_entanglement_swap():
-    # measuring one qubit from each of two Bell pairs leaves the two
-    # leftover qubits in a definite Bell state
-    reg = QuantumRegister(23)
-    for _ in range(200):
-        a1, a2 = reg.prepare_bell(BellState.PHI_PLUS)
-        b1, b2 = reg.prepare_bell(BellState.PHI_PLUS)
-        reg.bell_measure(a1, b2)
-        qubits, _ = reg.component_snapshot(a2)
-        assert qubits == tuple(sorted((b1, a2)))
-        probs = reg.bell_probabilities(a2, b1)
-        assert max(probs.values()) > 1 - 1e-9
-
-
-def test_same_pair_bell_measure_certain_in_both_orders():
-    # every Bell state, bare or after a Pauli on either half, measured in the
-    # stored and the swapped order: one uniform drawn, the outcome and the
-    # collapsed state of the dense oracle
-    for seed, (bs, pauli, half, swapped) in enumerate(
-        (bs, pauli, half, swapped)
-        for bs in BELL_ORDER
-        for pauli in (None, *Pauli)
-        for half in (0, 1)
-        for swapped in (False, True)
-    ):
-        eng = QuantumRegister(seed)
-        orc = DenseRegister(seed)
-        pair = eng.prepare_bell(bs)
-        assert orc.prepare_bell(bs) == pair
-        if pauli is not None:
-            eng.apply_pauli(pair[half], pauli)
-            orc.apply_pauli(pair[half], pauli)
-        qa, qb = pair[::-1] if swapped else pair
-        (expected,) = [b for b, p in eng.bell_probabilities(*pair).items() if p == 1.0]
-
-        twin = Random(seed)
-        twin.random()
-        outcome = eng.bell_measure(qa, qb)
-        assert eng.rng.getstate() == twin.getstate()
-        assert outcome == orc.bell_measure(qa, qb)
-        assert states_equal(engine_state(eng, orc.qubits), orc.amps)
-        assert eng.component_snapshot(qa) == (tuple(sorted((qa, qb))), outcome)
-        assert outcome is expected  # every Bell state is (anti)symmetric
-
-
 BOUNDARY_US = (0.0, 0.25 - 2**-53, 0.25, 0.5 - 2**-53, 0.5, 0.75, 1 - 2**-53)
-
-
-class FixedUniform:
-    """Stands in for a register's rng: every uniform is u, and draws are counted."""
-
-    def __init__(self, u):
-        self.u = u
-        self.draws = 0
-
-    def random(self):
-        self.draws += 1
-        return self.u
 
 
 def bell_boundary_setups():
     """Scripts that prepare qubits on a register (engine or oracle; both hand
     out the same ids) and return the two to Bell-measure."""
-    for bs in BELL_ORDER:  # one pair, measured in swapped order
-        yield lambda reg, bs=bs: reg.prepare_bell(bs)[::-1]
+    for bs, pauli, half, flip in itertools.product(
+        BELL_ORDER, (None, *Pauli), (0, 1), (False, True)
+    ):  # one pair, bare or after a Pauli on either half, in either order: certain
+
+        def same_pair(reg, bs=bs, pauli=pauli, half=half, flip=flip):
+            pair = reg.prepare_bell(bs)
+            if pauli is not None:
+                reg.apply_pauli(pair[half], pauli)
+            return pair[::-1] if flip else pair
+
+        yield same_pair
     for a, b in itertools.product((0, 1), repeat=2):  # X parity a ^ b
         yield lambda reg, a=a, b=b: (reg.alloc_qubit(a), reg.alloc_qubit(b))
     for bit, bs, half, flip in itertools.product((0, 1), BELL_ORDER, (0, 1), (False, True)):
@@ -245,7 +145,8 @@ def test_bell_measure_closed_form_at_boundaries():
     # bell_probabilities, read off bell_measure, must equal the dense oracle's
     # weights without drawing or changing a component; the outcome read off u
     # must be the inverse CDF over them, right at and just below each multiple
-    # of 1/4, and leave the partners as the oracle's projection onto it does
+    # of 1/4, draw one uniform, pair the measured qubits (lower id first) and
+    # leave the partners as the oracle's projection onto it does
     for setup in bell_boundary_setups():
         for u in BOUNDARY_US:
             eng = QuantumRegister(0)
@@ -273,6 +174,7 @@ def test_bell_measure_closed_form_at_boundaries():
             outcome = eng.bell_measure(qa, qb)
             assert outcome is expected, (qa, qb, u)
             assert eng.rng.draws == 1
+            assert eng.component_snapshot(qa) == (tuple(sorted((qa, qb))), outcome)
             assert orc.force_bell(qa, qb, outcome) > 0
             assert states_equal(engine_state(eng, orc.qubits), orc.amps), (qa, qb, u)
 
@@ -306,26 +208,7 @@ def test_pauli_action(state, half, pauli, expected):
         assert reg.measure_z(q) == (expected,)
 
 
-# -- snapshots, normalization, determinism -------------------------------------
-
-
-def test_normalization_maintained_under_random_ops():
-    rng = Random(31)
-    reg = QuantumRegister(99)
-    live = []
-    for _ in range(400):
-        roll = rng.random()
-        if roll < 0.3 or len(live) < 2:
-            live.extend(reg.prepare_bell(rng.choice(list(BELL_ORDER))))
-        elif roll < 0.55:
-            reg.measure_z(rng.choice(live))
-        elif roll < 0.8:
-            reg.bell_measure(*rng.sample(live, 2))
-        else:
-            reg.apply_pauli(rng.choice(live), rng.choice(list(Pauli)))
-        for q in live:
-            _, amps = snapshot_amplitudes(reg.component_snapshot(q))
-            assert abs(sum(abs(a) ** 2 for a in amps) - 1.0) < 1e-9
+# -- determinism, and the oracle's equality up to phase ---------------------------
 
 
 def test_determinism_same_seed_same_outcomes():
@@ -345,76 +228,6 @@ def test_states_equal_global_phase():
 
 
 # -- oracle equivalence (smoke; the full 200-scenario run lives in acceptance) --
-
-
-def engine_state(eng, order):
-    """The engine's full state: the tensor product of its component snapshots,
-    read as amplitudes through the oracle's vectors, with the qubits in `order`
-    (first qubit owns the most significant bit)."""
-    qubits, amps = [], [1 + 0j]
-    for q in eng.live_qubits():
-        if q not in qubits:
-            comp_qubits, comp_amps = snapshot_amplitudes(eng.component_snapshot(q))
-            qubits += comp_qubits
-            amps = [a * b for a in amps for b in comp_amps]
-    k = len(qubits)
-    shifts = [k - 1 - order.index(q) for q in qubits]
-    out = [0j] * len(amps)
-    for i, a in enumerate(amps):
-        out[sum(1 << s for pos, s in enumerate(shifts) if (i >> (k - 1 - pos)) & 1)] = a
-    return out
-
-
-def assert_components_shared(eng):
-    """Each live qubit's component lists it, and every qubit it lists reads
-    the same snapshot: a component is one value bound to all of its qubits."""
-    for q in eng.live_qubits():
-        snapshot = eng.component_snapshot(q)
-        assert q in snapshot[0]
-        for p in snapshot[0]:
-            assert eng.component_snapshot(p) == snapshot, (q, p)
-
-
-def run_scripted_comparison(seed, script_rng, steps=20, max_qubits=8):
-    eng = QuantumRegister(seed)
-    orc = DenseRegister(seed)
-    live = []
-    worst = 0.0
-    for _ in range(steps):
-        choices = []
-        if len(live) <= max_qubits - 2:
-            choices += ["alloc", "bell"]
-        if live:
-            choices += ["mz", "pauli"]
-        if len(live) >= 2:
-            choices += ["bm"]
-        op = script_rng.choice(choices)
-        if op == "alloc":
-            b = script_rng.randrange(2)
-            assert eng.alloc_qubit(b) == orc.alloc_qubit(b)
-            live.append(eng.live_qubits()[-1])
-        elif op == "bell":
-            bs = script_rng.choice(list(BELL_ORDER))
-            pair = eng.prepare_bell(bs)
-            assert pair == orc.prepare_bell(bs)
-            live.extend(pair)
-        elif op == "mz":
-            q = script_rng.choice(live)
-            (b,) = eng.measure_z(q)
-            assert b == orc.measure_z(q)
-        elif op == "pauli":
-            q = script_rng.choice(live)
-            p = script_rng.choice(list(Pauli))
-            eng.apply_pauli(q, p)
-            orc.apply_pauli(q, p)
-        else:
-            qa, qb = script_rng.sample(live, 2)
-            pe, po = eng.bell_probabilities(qa, qb), orc.bell_probabilities(qa, qb)
-            worst = max(worst, max(abs(pe[bs] - po[bs]) for bs in BELL_ORDER))
-            assert eng.bell_measure(qa, qb) == orc.bell_measure(qa, qb)
-        assert_components_shared(eng)
-        assert states_equal(engine_state(eng, orc.qubits), orc.amps)
-    return worst
 
 
 def test_oracle_equivalence_smoke():

@@ -5,7 +5,8 @@ random draws. Every session, of a run or of a document, runs through
 `harness.run_trial`, which alone builds its register, and no test patches
 sqdc to reach one. One helper turns a ValueError into a ConfigError. One
 property states which variant takes a k2. The command line declares the flags
-that name an experiment once. And the engine holds labels, not amplitudes."""
+that name an experiment once. The engine holds labels, not amplitudes. And
+no test module imports another."""
 
 import ast
 import sys
@@ -26,24 +27,20 @@ def owners(tree) -> dict:
     }
 
 
-def test_package_imports_only_the_standard_library():
-    sources = sorted(SRC.glob("*.py"))
-    assert sources
-    foreign = []
-    for path in sources:
+def imports(directory):
+    """("file:line", module) for each absolute import in the directory's sources."""
+    for path in sorted(directory.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
+                yield from ((f"{path.name}:{node.lineno}", alias.name) for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            foreign += [
-                f"{path.name}:{node.lineno} {name}"
-                for name in names
-                if name.split(".")[0] not in sys.stdlib_module_names
-            ]
-    assert foreign == []
+                yield f"{path.name}:{node.lineno}", node.module
+
+
+def test_package_imports_only_the_standard_library():
+    found, stdlib = list(imports(SRC)), sys.stdlib_module_names
+    assert found
+    assert [f"{site} {name}" for site, name in found if name.split(".")[0] not in stdlib] == []
 
 
 def test_only_keys_copies_the_stdlib_draws():
@@ -215,3 +212,11 @@ def test_package_holds_no_amplitudes():
         or "complex" in (getattr(node, "id", None), getattr(node, "attr", None))
     ]
     assert found == []
+
+
+def test_no_test_module_imports_another():
+    # Helpers that tests share live in modules not named test_* (dense_oracle,
+    # pins, mutants): a name a test module exports couples its collection to
+    # its importers', so deleting it fails theirs, and a mutant run reads that
+    # collection error as a kill.
+    assert [site for site, name in imports(TESTS) if name.startswith("test_")] == []
