@@ -106,12 +106,13 @@ def test_bell_probabilities_exact(a, b):
 BOUNDARY_US = (0.0, 0.25 - 2**-53, 0.25, 0.5 - 2**-53, 0.5, 0.75, 1 - 2**-53)
 
 
-def bell_boundary_setups():
-    """Scripts that prepare qubits on a register (engine or oracle; both hand
-    out the same ids) and return the two to Bell-measure."""
+def same_pair_setups():
+    """One pair, bare or after a Pauli on either half, in either order: certain.
+    Each setup prepares qubits on a register (engine or oracle; both hand out
+    the same ids) and returns the two to Bell-measure."""
     for bs, pauli, half, flip in itertools.product(
         BELL_ORDER, (None, *Pauli), (0, 1), (False, True)
-    ):  # one pair, bare or after a Pauli on either half, in either order: certain
+    ):
 
         def same_pair(reg, bs=bs, pauli=pauli, half=half, flip=flip):
             pair = reg.prepare_bell(bs)
@@ -120,8 +121,16 @@ def bell_boundary_setups():
             return pair[::-1] if flip else pair
 
         yield same_pair
-    for a, b in itertools.product((0, 1), repeat=2):  # X parity a ^ b
+
+
+def x_parity_setups():
+    """Two basis qubits a, b: Phi or Psi by a ^ b, sign uniform."""
+    for a, b in itertools.product((0, 1), repeat=2):
         yield lambda reg, a=a, b=b: (reg.alloc_qubit(a), reg.alloc_qubit(b))
+
+
+def teleport_setups():
+    """A basis qubit against either half of a pair, in either order."""
     for bit, bs, half, flip in itertools.product((0, 1), BELL_ORDER, (0, 1), (False, True)):
 
         def teleport(reg, bit=bit, bs=bs, half=half, flip=flip):
@@ -130,6 +139,10 @@ def bell_boundary_setups():
             return pair[::-1] if flip else pair
 
         yield teleport
+
+
+def swap_setups():
+    """One half of each of two pairs, in either order: entanglement swapping."""
     for bs1, bs2, h1, h2, flip in itertools.product(
         BELL_ORDER, BELL_ORDER, (0, 1), (0, 1), (False, True)
     ):
@@ -141,42 +154,52 @@ def bell_boundary_setups():
         yield swap
 
 
-def test_bell_measure_closed_form_at_boundaries():
+BELL_LAWS = {
+    "same_pair": same_pair_setups,
+    "x_parity": x_parity_setups,
+    "teleport": teleport_setups,
+    "swap": swap_setups,
+}
+
+
+@pytest.mark.parametrize("u", BOUNDARY_US, ids=[f"u{i}" for i in range(len(BOUNDARY_US))])
+@pytest.mark.parametrize("law", BELL_LAWS)
+def test_bell_measure_closed_form_at_boundaries(law, u):
     # bell_probabilities, read off bell_measure, must equal the dense oracle's
     # weights without drawing or changing a component; the outcome read off u
     # must be the inverse CDF over them, right at and just below each multiple
     # of 1/4, draw one uniform, pair the measured qubits (lower id first) and
     # leave the partners as the oracle's projection onto it does
-    for setup in bell_boundary_setups():
-        for u in BOUNDARY_US:
-            eng = QuantumRegister(0)
-            orc = DenseRegister(0)
-            qa, qb = setup(eng)
-            assert setup(orc) == (qa, qb)
-            state = eng.rng.getstate()
-            snapshots = [eng.component_snapshot(q) for q in eng.live_qubits()]
-            probs = eng.bell_probabilities(qa, qb)
-            reference = orc.bell_probabilities(qa, qb)
-            assert list(probs) == list(BELL_ORDER)
-            assert all(abs(probs[bs] - reference[bs]) < 1e-12 for bs in BELL_ORDER), (qa, qb)
-            assert eng.rng.getstate() == state
-            assert [eng.component_snapshot(q) for q in eng.live_qubits()] == snapshots
-            unknown = len(eng.live_qubits())
-            for bad, message in (((qa, qa), "distinct"), ((qa, unknown), f"id {unknown}$")):
-                with pytest.raises(ValueError, match=message):
-                    eng.bell_probabilities(*bad)
-            acc, expected = 0.0, None
-            for bs, p in probs.items():
-                acc += p
-                if expected is None and u < acc:
-                    expected = bs
-            eng.rng = FixedUniform(u)
-            outcome = eng.bell_measure(qa, qb)
-            assert outcome is expected, (qa, qb, u)
-            assert eng.rng.draws == 1
-            assert eng.component_snapshot(qa) == (tuple(sorted((qa, qb))), outcome)
-            assert orc.force_bell(qa, qb, outcome) > 0
-            assert states_equal(engine_state(eng, orc.qubits), orc.amps), (qa, qb, u)
+    # (one case per law and boundary, so a failure names both)
+    for setup in BELL_LAWS[law]():
+        eng = QuantumRegister(0)
+        orc = DenseRegister(0)
+        qa, qb = setup(eng)
+        assert setup(orc) == (qa, qb)
+        state = eng.rng.getstate()
+        snapshots = [eng.component_snapshot(q) for q in eng.live_qubits()]
+        probs = eng.bell_probabilities(qa, qb)
+        reference = orc.bell_probabilities(qa, qb)
+        assert list(probs) == list(BELL_ORDER)
+        assert all(abs(probs[bs] - reference[bs]) < 1e-12 for bs in BELL_ORDER), (qa, qb)
+        assert eng.rng.getstate() == state
+        assert [eng.component_snapshot(q) for q in eng.live_qubits()] == snapshots
+        unknown = len(eng.live_qubits())
+        for bad, message in (((qa, qa), "distinct"), ((qa, unknown), f"id {unknown}$")):
+            with pytest.raises(ValueError, match=message):
+                eng.bell_probabilities(*bad)
+        acc, expected = 0.0, None
+        for bs, p in probs.items():
+            acc += p
+            if expected is None and u < acc:
+                expected = bs
+        eng.rng = FixedUniform(u)
+        outcome = eng.bell_measure(qa, qb)
+        assert outcome is expected, (qa, qb, u)
+        assert eng.rng.draws == 1
+        assert eng.component_snapshot(qa) == (tuple(sorted((qa, qb))), outcome)
+        assert orc.force_bell(qa, qb, outcome) > 0
+        assert states_equal(engine_state(eng, orc.qubits), orc.amps), (qa, qb, u)
 
 
 # -- Pauli unitaries -----------------------------------------------------------
