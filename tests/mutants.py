@@ -18,7 +18,8 @@ exits 1 naming a failing test, or times out. Any other pytest exit (an internal
 error, an interrupt, no tests) stops the run with exit 1, counting nothing. The
 pins (tests/test_pins.py and perfbench's gate) fail on most mutants, but a re-pin
 rewrites them, so when the kill matrix decides which tests carry weight, they do
-not count.
+not count. `--matrix` ends with that decision, computed by `verdict`: for each test
+that is not a pin, the mutants only it kills, then the tests that can go.
 """
 
 import argparse
@@ -186,6 +187,8 @@ FAST_FIRST = ("test_stdlib_only.py", "test_tracer_names.py", "test_codec.py", "t
               "test_harness.py")
 # it reads the sources for each old text, so on a mutant it fails by construction
 GUARD = "tests/test_mutants.py::test_every_mutant_applies_and_parses"
+# a re-pin rewrites them, so a kill by a pin shows nothing of what the tests check
+PINS = ("tests/test_pins.py::", "perfbench/test_perfbench.py::test_gate_matches_pins")
 TIMEOUT = 900  # seconds; a mutant that loops forever counts as killed
 
 
@@ -209,9 +212,26 @@ def tier1_paths(tree: Path) -> list:
     return [*first, "perfbench", last]
 
 
+def verdict(matrix: dict, tests: list):
+    """What a kill matrix (mutant label -> failing tests) says of `tests`, every test
+    in run order: ({test: the mutants only it kills}, the tests that can go). A test
+    can go when each mutant it kills is killed by a remaining test; pins count for
+    neither. Candidates leave one at a time, in order, so of two tests that are each
+    other's only cover, the later one stays."""
+    kept = [test for test in tests if not test.startswith(PINS)]
+    kills = [{test for test in failed if not test.startswith(PINS)} for failed in matrix.values()]
+    sole = {test: [label for label, k in zip(matrix, kills) if k == {test}] for test in kept}
+    remaining, removable = set(kept), []
+    for test in kept:
+        if all(k & (remaining - {test}) for k in kills if test in k):
+            remaining.remove(test)
+            removable.append(test)
+    return {test: labels for test, labels in sole.items() if labels}, removable
+
+
 def run(mutant, matrix: bool):
-    """(failing tests, seconds) of tier-1 on a copy of the tree, with the mutant applied
-    unless it is None."""
+    """(failing tests, every test named, seconds) of tier-1 on a copy of the tree, with
+    the mutant applied unless it is None; a matrix run names the passing tests too."""
     text = mutant and mutated(mutant)
     tree = Path(tempfile.mkdtemp(prefix="sqdc-mutant-"))
     try:
@@ -223,7 +243,8 @@ def run(mutant, matrix: bool):
                 shutil.copy2(source, tree / name)
         if mutant:
             (tree / "src" / "sqdc" / mutant[0]).write_text(text, encoding="utf-8")
-        argv = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider"]
+        argv = [sys.executable, "-m", "pytest", "-q", "-rA" if matrix else "-rfE"]
+        argv += ["-p", "no:cacheprovider"]
         argv += ["--continue-on-collection-errors", *([] if matrix else ["-x"]), *tier1_paths(tree)]
         argv += ["--deselect", GUARD]  # it checks the list against unmutated sources
         env = dict(os.environ, PYTHONPATH=str(tree / "src"))
@@ -233,15 +254,16 @@ def run(mutant, matrix: bool):
                 argv, cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT
             )
         except subprocess.TimeoutExpired:
-            return [f"timeout after {TIMEOUT} s"], time.monotonic() - start
-        failed = re.findall(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.M)
+            return [f"timeout after {TIMEOUT} s"], [], time.monotonic() - start
+        named = re.findall(r"^(PASSED|FAILED|ERROR) (\S+)", done.stdout, re.M)
+        failed = [test for outcome, test in named if outcome != "PASSED"]
         # a kill is exit 1 naming a failing test; an internal error (3), an interrupt (2),
         # a usage error (4) or no tests (5) shows nothing of the mutant, so it stops the run
         if (done.returncode, bool(failed)) not in ((0, False), (1, True)):
             last = (done.stdout.strip().splitlines() or [""])[-1]
             sys.exit(f"pytest exit {done.returncode} on {mutant[3] if mutant else 'no mutant'}: "
                      f"{last}\nthe run stops, and no mutant is counted")
-        return failed, time.monotonic() - start
+        return failed, list(dict.fromkeys(test for _, test in named)), time.monotonic() - start
     finally:
         shutil.rmtree(tree, ignore_errors=True)
 
@@ -251,35 +273,46 @@ def main(argv=None) -> int:
     parser.add_argument("--matrix", action="store_true", help="run every test and list all that fail")
     args = parser.parse_args(argv)
     # a test that fails without a mutant would count as a kill of every one
-    failed, seconds = run(None, args.matrix)
+    failed, tests, seconds = run(None, args.matrix)
     if failed:
         print(f"tier-1 fails on the unmutated tree ({seconds:.1f} s); no mutant counted:",
               *failed, sep="\n    ")
         return 1
     print(f"unmutated tree passes tier-1 in {seconds:.1f} s")
-    survivors, kill_seconds = [], []
+    survivors, kill_seconds, matrix = [], [], {}
     for i in range(len(MUTANTS)):
         file, _, _, breaks = MUTANTS[i]
         label = f"#{i} {file}: {breaks}"
         try:
-            failed, seconds = run(MUTANTS[i], args.matrix)
+            failed, _, seconds = run(MUTANTS[i], args.matrix)
         except (ValueError, SyntaxError) as exc:
             failed, seconds = [], 0.0
             label += f" [invalid: {exc}]"
+        matrix[label] = failed
         if failed:
             kill_seconds.append(seconds)
         else:
             survivors.append(label)
-        verdict = "killed  " if failed else "SURVIVED"
+        state = "killed  " if failed else "SURVIVED"
         if args.matrix:
-            print(f"{verdict} {seconds:6.1f} s  {label}: {len(failed)} failing", *failed, sep="\n    ")
+            print(f"{state} {seconds:6.1f} s  {label}: {len(failed)} failing", *failed, sep="\n    ")
         else:
-            print(f"{verdict} {seconds:6.1f} s  {label}" + (f"  <- {failed[0]}" if failed else ""))
+            print(f"{state} {seconds:6.1f} s  {label}" + (f"  <- {failed[0]}" if failed else ""))
         sys.stdout.flush()
     if kill_seconds:
         print(f"{len(kill_seconds)} killed, {len(survivors)} not; seconds per killed mutant: median "
               f"{statistics.median(kill_seconds):.1f}, max {max(kill_seconds):.1f}, "
               f"total {sum(kill_seconds):.0f}")
+    if args.matrix:
+        sole, removable = verdict(matrix, tests)
+        print("mutants that only one test that is not a pin kills:")
+        for test, labels in sole.items():
+            print(f"    {test}", *labels, sep="\n        ")
+        pinned = [label for label, failed in matrix.items()
+                  if failed and all(test.startswith(PINS) for test in failed)]
+        if pinned:
+            print("mutants that only a pin kills:", *pinned, sep="\n    ")
+        print(f"tests that can go, each once those before it went: {len(removable)}", *removable, sep="\n    ")
     return 1 if survivors else 0
 
 

@@ -1,7 +1,7 @@
 """The mutant list of `tests/mutants.py` fits the sources. Running the mutants
 is not a tier-1 test: `python tests/mutants.py` does it."""
 
-from mutants import MUTANTS, ROOT, mutated
+from mutants import MUTANTS, ROOT, mutated, verdict
 
 
 def test_every_mutant_applies_and_parses():
@@ -10,3 +10,17 @@ def test_every_mutant_applies_and_parses():
         mutated(mutant)
     modules = {path.name for path in (ROOT / "src" / "sqdc").glob("*.py")}
     assert {mutant[0] for mutant in MUTANTS} == modules - {"__init__.py"}
+
+
+def test_verdict_of_a_fixed_matrix():
+    a, b, c, d, e = (f"tests/test_x.py::test_{name}" for name in "abcde")
+    pin = "tests/test_pins.py::test_text_pin[x]"
+    matrix = {
+        "#0 m": [a, b],  # a and b: each the other's only cover, so only a can go
+        "#1 m": [c, pin],  # the pin does not count: c alone kills it
+        "#2 m": [pin],
+        "#3 m": [d, c],
+    }
+    sole, removable = verdict(matrix, [a, pin, b, c, d, e])
+    assert sole == {c: ["#1 m"]}
+    assert removable == [a, d, e]  # e kills nothing
