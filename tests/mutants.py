@@ -106,6 +106,11 @@ MUTANTS = [
      "deinterleave inverts interleave"),
     ("keys.py", "hashlib.sha256(pack_bits(k))", "hashlib.sha256(pack_bits(k[1:]))",
      "every bit of k2 seeds its permutation"),
+    ("keys.py", "if len(seq) != len(p):\n        raise ValueError(\"sequence length must match "
+     "permutation length\")\n    return [seq[j] for j in p]",
+     "if len(seq) > len(p):\n        raise ValueError(\"sequence length must match "
+     "permutation length\")\n    return [seq[j] for j in p]",
+     "the inverse k2 permutation refuses a sequence of another length"),
     # protocol: both variants' steps
     ("protocol.py", "    if any(BELL_ORDER.index(o) >> 1 != bit for bit, o in pairs):\n"
      "        return DetectionCause.BELL_CHECK_FAILED, matches\n", "", "the step-4* X-parity test"),
@@ -129,6 +134,8 @@ MUTANTS = [
      "ALICE_ACCEPTS = (DetectionCause.NONE,)", "a hash mismatch is Bob's rejection alone"),
     ("protocol.py", "return ok, m_decoded, results, cb_qubits",
      "return True, m_decoded, results, cb_qubits", "Bob rejects a block whose checksum fails"),
+    ("protocol.py", "if len(keys.k1) != n:", "if len(keys.k1) > n:",
+     "alice_prepare refuses a k1 that does not fit the message"),
     # adversary: the attacks and their closed forms
     ("adversary.py", "if self.rng.random() < 0.5:", "if self.rng.random() < 0.75:",
      "idealized Bob keeps each qubit w.p. 1/2"),
@@ -165,6 +172,26 @@ MUTANTS = [
      "a document that repeats a key is refused"),
     ("harness.py", "    if unknown:\n", "    if unknown and False:\n",
      "a document's unknown key is refused"),
+    ("harness.py", "low = 0.0 if successes == 0", "low = 0.0 if successes < 0",
+     "a Wilson interval starts at 0 when nothing succeeds"),
+    ("harness.py", "high = 1.0 if successes == trials", "high = 1.0 if successes > trials",
+     "a Wilson interval ends at 1 when everything succeeds"),
+    ("harness.py", "if trials < 1:", "if trials < 0:", "a Wilson interval needs a trial"),
+    ("harness.py", "int.from_bytes(digest[8:16], \"big\")", "int.from_bytes(digest[:8], \"big\")",
+     "a trial's register seed is not its rng seed"),
+    ("harness.py", "m = hex_to_bits(config.message, config.n // 8)",
+     "m = random_bits(config.n // 8, rng)", "a fixed message is decoded, not drawn"),
+    ("harness.py", "security_event_rate=security_events / t", "security_event_rate=0 / t",
+     "a run counts its security events"),
+    ("harness.py", "sum(counts[cause.value] for cause in ALICE_ACCEPTS)",
+     "counts[DetectionCause.NONE.value]", "a run's Alice accepts a hash mismatch"),
+    ("harness.py", "row[\"wilson_99_low\"], row[\"wilson_99_high\"] = value",
+     "row[\"wilson_99_high\"], row[\"wilson_99_low\"] = value",
+     "a CSV row's Wilson low end comes before its high end"),
+    ("harness.py", "elif output_format == \"csv\":", "elif output_format != \"json\":",
+     "an unknown report format is refused"),
+    ("harness.py", "        if key not in doc:\n", "        if key not in doc and False:\n",
+     "a document missing a required key is refused"),
     # cli: the exit codes and the flags
     ("cli.py", "file=sys.stderr)\n        return 2", "file=sys.stderr)\n        return 1",
      "exit code 2 for a configuration error"),

@@ -45,6 +45,9 @@ def test_wilson_edge_counts():
     assert low == 0.0 and high < 0.07
     low, high = wilson_interval(100, 100)
     assert low > 0.93 and high == 1.0
+    # the clamps: unclamped, these would round to 2.8e-17 and 1 - 1.1e-16
+    assert wilson_interval(0, 13)[0] == 0.0
+    assert wilson_interval(200, 200)[1] == 1.0
 
 
 def test_wilson_symmetry_at_half():
@@ -152,8 +155,9 @@ def test_config_validation_accepts_good():
 
 
 def test_trial_seeds_distinct_and_stable():
-    seen = {trial_seeds(7, i) for i in range(1000)}
-    assert len(seen) == 1000
+    # both seeds of each trial: a register seed equal to its rng seed would replay the rng's stream
+    seen = {seed for i in range(1000) for seed in trial_seeds(7, i)}
+    assert len(seen) == 2000
     assert trial_seeds(7, 0) == trial_seeds(7, 0)
     assert trial_seeds(7, 0) != trial_seeds(8, 0)
 
@@ -257,6 +261,15 @@ def test_csv_report_round_trip():
     assert float(row["detection_rate"]) == stats.detection_rate
     assert float(row["analytic"]) == 0.99609375
     assert sum(int(row[f"count_{cause.value}"]) for cause in DetectionCause) == 100
+
+
+def test_run_rates_count_its_trials():
+    # a flipped message qubit at n = 16: the 2-bit checksum rejects it, a hash
+    # mismatch that Alice's checks pass, or collides, and Bob takes a forgery
+    config = make_config(attack="modify_single", attack_params={"target": "s_msg"}, trials=200)
+    stats = run_experiment(config)
+    assert stats.alice_accept_rate == 1.0
+    assert 0 < stats.security_event_rate == stats.bob_accept_rate == stats.cause_counts["none"] / 200 < 1
 
 
 def test_emit_report_bad_format():

@@ -71,22 +71,36 @@ def test_prepare_checking_states_uniform():
     assert abs(counts / total - 0.5) < 0.02
 
 
-def test_prepare_key_length_mismatch():
-    rng = Random(3)
-    keys = gen_keys(16, rng)
-    with pytest.raises(ValueError):
-        alice_prepare(random_bits(4, rng), keys, QuantumRegister(0), Variant.RANDOMIZATION)
+def keys_then_message(seed, n, message_bits, include_k2=True):
+    """A message and keys for n qubits, the keys drawn first from Random(seed)."""
+    rng = Random(seed)
+    keys = gen_keys(n, rng, include_k2=include_k2)
+    return random_bits(message_bits, rng), keys
 
 
-def test_prepare_randomization_needs_k2():
-    # and measure-resend refuses one, which it would silently ignore
-    rng = Random(4)
-    keys = gen_keys(16, rng, include_k2=False)
-    with pytest.raises(ValueError, match="randomization variant needs k2"):
-        alice_prepare(random_bits(2, rng), keys, QuantumRegister(0), Variant.RANDOMIZATION)
-    m, keys = random_bits(2, rng), gen_keys(16, Random(4))
-    with pytest.raises(ValueError, match="measure-resend variant takes no k2"):
-        run_session(Variant.MEASURE_RESEND, m, keys, AttackStrategy(), QuantumRegister(7))
+def step4_of_three_qubits():
+    _, _, register, session, _ = make_session(16, 9)
+    alice_randomization_step4([1, 2, 3], session, register)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # keys for 16 qubits, a message for 32
+        (lambda: alice_prepare(*keys_then_message(3, 16, 4), QuantumRegister(0), Variant.RANDOMIZATION),
+         "k1 must have 32 bits"),
+        (lambda: alice_prepare(*keys_then_message(4, 16, 2, include_k2=False), QuantumRegister(0),
+                               Variant.RANDOMIZATION), "randomization variant needs k2"),
+        # measure-resend would silently ignore a k2
+        (lambda: run_session(Variant.MEASURE_RESEND, *keys_then_message(4, 16, 2), AttackStrategy(),
+                             QuantumRegister(7)), "measure-resend variant takes no k2"),
+        (step4_of_three_qubits, "sequence length must match permutation length"),
+    ],
+    ids=["k1-length", "k2-missing", "k2-surplus", "step4-length"],
+)
+def test_protocol_rejects(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # -- randomization variant ---------------------------------------------------------
@@ -158,12 +172,6 @@ def test_intercepted_check_pairs_match_half_the_time():
         total += len(per_pair)
     sigma = (0.25 / total) ** 0.5
     assert abs(matches / total - 0.5) <= 3 * sigma
-
-
-def test_step4_wrong_length():
-    m, keys, register, session, _ = make_session(16, 9)
-    with pytest.raises(ValueError):
-        alice_randomization_step4([1, 2, 3], session, register)
 
 
 # -- measure-resend variant ---------------------------------------------------------
