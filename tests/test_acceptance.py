@@ -17,7 +17,7 @@ from sqdc.harness import (
     wilson_interval,
 )
 from sqdc.keys import KeyMaterial, deinterleave, gen_keys, random_bits
-from sqdc.protocol import DetectionCause, Variant, run_session
+from sqdc.protocol import Variant, run_session
 from sqdc.qsim import BELL_ORDER, BellState, QuantumRegister
 
 from dense_oracle import run_scripted_comparison

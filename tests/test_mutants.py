@@ -1,5 +1,6 @@
-"""The mutant list of `tests/mutants.py` fits the sources. Running the mutants
-is not a tier-1 test: `python tests/mutants.py` does it."""
+"""The mutant list of `tests/mutants.py` fits the sources and README's count, and its
+verdict reads a kill matrix by the rule. Running the mutants is not a tier-1 test:
+`python tests/mutants.py` does it."""
 
 from mutants import MUTANTS, ROOT, mutated, verdict
 
@@ -10,6 +11,7 @@ def test_every_mutant_applies_and_parses():
         mutated(mutant)
     modules = {path.name for path in (ROOT / "src" / "sqdc").glob("*.py")}
     assert {mutant[0] for mutant in MUTANTS} == modules - {"__init__.py"}
+    assert f"lists {len(MUTANTS)} mutants" in (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def test_verdict_of_a_fixed_matrix():
