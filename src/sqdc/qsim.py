@@ -60,6 +60,9 @@ class QuantumRegister:
 
     `_comp_of` maps each qubit id to (partner, label). Ids are allocated
     densely from 0 and never freed, so the next free id is `len(_comp_of)`.
+    An id is an int the register returned; an equal object of another type
+    (1.0, True) is taken for that id and may be stored in its place, since
+    checking each id's type would cost every sequence call a pass.
     All measurement randomness flows through the seeded `rng`, one uniform
     draw per measurement, so a register replays identically for a given seed
     and operation script.

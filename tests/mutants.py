@@ -18,7 +18,7 @@ exits 1 naming a failing test, or times out. Any other pytest exit (an internal
 error, an interrupt, no tests) stops the run with exit 1, counting nothing. The
 pins (tests/test_pins.py and perfbench's gate) fail on most mutants, but a re-pin
 rewrites them, so when the kill matrix decides which tests carry weight, they do
-not count. `--matrix` ends with that decision, computed by `verdict`: for each test
+not count. `--matrix` ends with that decision, computed by `summary`: for each test
 that is not a pin, the mutants only it kills, then the tests that can go.
 """
 
@@ -239,7 +239,7 @@ def tier1_paths(tree: Path) -> list:
     return [*first, "perfbench", last]
 
 
-def verdict(matrix: dict, tests: list):
+def summary(matrix: dict, tests: list):
     """What a kill matrix (mutant label -> failing tests) says of `tests`, every test
     in run order: ({test: the mutants only it kills}, the tests that can go). A test
     can go when each mutant it kills is killed by a remaining test; pins count for
@@ -320,25 +320,21 @@ def main(argv=None) -> int:
             kill_seconds.append(seconds)
         else:
             survivors.append(label)
-        state = "killed  " if failed else "SURVIVED"
+        verdict = "killed  " if failed else "SURVIVED"
         if args.matrix:
-            print(f"{state} {seconds:6.1f} s  {label}: {len(failed)} failing", *failed, sep="\n    ")
+            print(f"{verdict} {seconds:6.1f} s  {label}: {len(failed)} failing", *failed, sep="\n    ")
         else:
-            print(f"{state} {seconds:6.1f} s  {label}" + (f"  <- {failed[0]}" if failed else ""))
+            print(f"{verdict} {seconds:6.1f} s  {label}" + (f"  <- {failed[0]}" if failed else ""))
         sys.stdout.flush()
     if kill_seconds:
         print(f"{len(kill_seconds)} killed, {len(survivors)} not; seconds per killed mutant: median "
               f"{statistics.median(kill_seconds):.1f}, max {max(kill_seconds):.1f}, "
               f"total {sum(kill_seconds):.0f}")
     if args.matrix:
-        sole, removable = verdict(matrix, tests)
+        sole, removable = summary(matrix, tests)
         print("mutants that only one test that is not a pin kills:")
         for test, labels in sole.items():
             print(f"    {test}", *labels, sep="\n        ")
-        pinned = [label for label, failed in matrix.items()
-                  if failed and all(test.startswith(PINS) for test in failed)]
-        if pinned:
-            print("mutants that only a pin kills:", *pinned, sep="\n    ")
         print(f"tests that can go, each once those before it went: {len(removable)}", *removable, sep="\n    ")
     return 1 if survivors else 0
 

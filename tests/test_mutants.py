@@ -1,8 +1,8 @@
 """The mutant list of `tests/mutants.py` fits the sources and README's count, and its
-verdict reads a kill matrix by the rule. Running the mutants is not a tier-1 test:
+summary reads a kill matrix by the rule. Running the mutants is not a tier-1 test:
 `python tests/mutants.py` does it."""
 
-from mutants import MUTANTS, ROOT, mutated, verdict
+from mutants import MUTANTS, ROOT, mutated, summary
 
 
 def test_every_mutant_applies_and_parses():
@@ -14,7 +14,7 @@ def test_every_mutant_applies_and_parses():
     assert f"lists {len(MUTANTS)} mutants" in (ROOT / "README.md").read_text(encoding="utf-8")
 
 
-def test_verdict_of_a_fixed_matrix():
+def test_summary_of_a_fixed_matrix():
     a, b, c, d, e = (f"tests/test_x.py::test_{name}" for name in "abcde")
     pin = "tests/test_pins.py::test_text_pin[x]"
     matrix = {
@@ -23,6 +23,6 @@ def test_verdict_of_a_fixed_matrix():
         "#2 m": [pin],
         "#3 m": [d, c],
     }
-    sole, removable = verdict(matrix, [a, pin, b, c, d, e])
+    sole, removable = summary(matrix, [a, pin, b, c, d, e])
     assert sole == {c: ["#1 m"]}
     assert removable == [a, d, e]  # e kills nothing
