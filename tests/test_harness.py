@@ -10,23 +10,34 @@ from random import Random
 import pytest
 
 from sqdc.cli import OUTPUT_DIR_ENV, main
+from sqdc.codec import bits_to_hex
 from sqdc.harness import (
     ConfigError,
     ExperimentConfig,
     emit_report,
+    report_dict,
     run_experiment,
     load_session_config,
     run_trial,
     trial_seeds,
     wilson_interval,
 )
-from sqdc.keys import KeyMaterial, gen_keys
+from sqdc.keys import KeyMaterial, gen_keys, random_bits
 from sqdc.protocol import DetectionCause, Variant, alice_prepare
 from sqdc.qsim import QuantumRegister
 from pins import make_config, run_document, session_doc
 
 
 # -- Wilson intervals --------------------------------------------------------------
+
+
+def test_wilson_contains_point_estimate():
+    rng = Random(0)
+    for _ in range(100):
+        trials = rng.randrange(1, 2000)
+        successes = rng.randrange(trials + 1)
+        low, high = wilson_interval(successes, trials)
+        assert 0.0 <= low <= successes / trials <= high <= 1.0
 
 
 def test_wilson_edge_counts():
@@ -42,6 +53,42 @@ def test_wilson_edge_counts():
 def test_wilson_requires_trials():
     with pytest.raises(ValueError):
         wilson_interval(0, 0)
+
+
+# -- analytic references -------------------------------------------------------------
+
+
+def closed_form(**overrides):
+    config = make_config(**overrides)
+    config.validate()
+    return config.analytic()
+
+
+def test_analytic_pinned_values():
+    assert closed_form(attack="intercept_resend")[0] == 0.99609375
+    assert closed_form(attack="impersonate_bob")[0] == pytest.approx(1 - 0.625 ** 8)
+    assert closed_form() == (0.0, "honest runs are never rejected")
+    assert closed_form(variant=Variant.MEASURE_RESEND)[0] == 0.0625
+    assert closed_form(variant=Variant.MEASURE_RESEND, attack="reflect_all")[0] == 1.0
+    assert closed_form(attack="modify_single", attack_params={"target": "c"})[0] == 1.0
+
+
+def test_analytic_no_closed_form():
+    assert closed_form(variant=Variant.MEASURE_RESEND, attack="intercept_resend") == (None, None)
+    assert closed_form(attack="impersonate_alice") == (None, None)
+    s_msg = {"attack": "modify_single", "attack_params": {"target": "s_msg"}}
+    assert closed_form(n=32, **s_msg) == (None, None)
+
+
+def test_analytic_unknown_attack():
+    for overrides in (
+        {"attack": "time_travel"},
+        {"n": 3},
+        {"attack": "reflect_all"},  # randomization variant
+        {"attack": "intercept_resend", "attack_params": {"mode": "concrete"}},
+    ):
+        with pytest.raises(ConfigError):
+            closed_form(**overrides)
 
 
 # -- configuration validation ----------------------------------------------------------
@@ -82,6 +129,17 @@ def test_config_validation_rejects(overrides):
             config.validate()
 
 
+def test_config_validation_accepts_good():
+    make_config().validate()
+    make_config(variant=Variant.MEASURE_RESEND, attack="reflect_all").validate()
+    make_config(attack="modify_single", attack_params={"target": 3}).validate()
+    make_config(attack="modify_single", attack_params={"target": 15}).validate()
+    # runs Bob's own steps with a guessed k1 (tests/test_acceptance.py, criterion 10)
+    make_config(variant=Variant.MEASURE_RESEND, attack="impersonate_bob",
+                attack_params={"mode": "concrete"}).validate()
+    make_config(n=16, message="f").validate()  # 2 bits; the digit's other 2 pad
+
+
 # -- trial plumbing -----------------------------------------------------------------
 
 
@@ -91,6 +149,24 @@ def test_trial_seeds_distinct_and_stable():
     assert len(seen) == 2000
     assert trial_seeds(7, 0) == trial_seeds(7, 0)
     assert trial_seeds(7, 0) != trial_seeds(8, 0)
+
+
+def test_run_trial_fixed_message():
+    m = random_bits(4, Random(3))
+    config = make_config(n=32, message=bits_to_hex(m))
+    for i in range(20):
+        outcome = run_trial(config, i)
+        assert outcome.decoded_message == m
+
+
+def test_run_experiment_reproducible():
+    config_a = make_config(attack="intercept_resend", trials=300, seed=42)
+    config_b = make_config(attack="intercept_resend", trials=300, seed=42)
+    a = emit_report(run_experiment(config_a), "json")
+    b = emit_report(run_experiment(config_b), "json")
+    assert a == b
+    c = emit_report(run_experiment(make_config(attack="intercept_resend", trials=300, seed=43)), "json")
+    assert a != c
 
 
 # -- statistical soundness across the analytic table -----------------------------------
@@ -142,6 +218,19 @@ def test_wilson_intervals_cover_analytic_rates():
 # -- reports ---------------------------------------------------------------------
 
 
+def test_json_report_of_honest_run():
+    stats = run_experiment(make_config(trials=200, seed=11))
+    assert (stats.detection_rate, stats.bob_accept_rate, stats.alice_accept_rate) == (0.0, 1.0, 1.0)
+    assert (stats.security_event_rate, stats.cause_counts["none"], stats.analytic) == (0.0, 200, 0.0)
+    doc = json.loads(emit_report(stats, "json"))
+    assert doc["config"]["variant"] == "randomization"
+    assert doc["config"]["trials"] == doc["results"]["trials"] == 200
+    assert doc["hash"]["algorithm"] == "sha256"
+    assert doc["hash"]["truncate_bits"] == 2
+    assert doc["results"]["wilson_99"][0] <= doc["results"]["detection_rate"]
+    assert doc == report_dict(stats)
+
+
 def test_csv_report_round_trip():
     stats = run_experiment(make_config(attack="intercept_resend", trials=100))
     text = emit_report(stats, "csv")
@@ -189,6 +278,11 @@ def test_session_from_config_honest():
     assert outcome.decoded_message == m
     assert outcome.detection_cause is DetectionCause.NONE
     assert outcome.security_event is False
+
+
+def test_session_from_config_with_attack():
+    doc, _ = session_doc(attack="intercept_resend")
+    assert run_document(doc).bob_accepts is True  # parity survives Z measurement
 
 
 def test_session_config_parsing_errors():
@@ -295,6 +389,11 @@ def test_session_document_shares_run_validator(field, value):
     with pytest.raises(ConfigError) as from_doc:
         run_document(doc)
     assert str(from_doc.value) == str(from_run.value)
+
+
+def test_max_n_runs_one_trial():
+    stats = run_experiment(make_config(n=2048, trials=1))
+    assert stats.cause_counts["none"] == 1
 
 
 # -- CLI ------------------------------------------------------------------------

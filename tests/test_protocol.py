@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from sqdc.adversary import AttackStrategy, InterceptResend
+from sqdc.adversary import AttackStrategy, InterceptResend, ModifySingleQubit
 from sqdc.codec import ALPHABET
 from sqdc.keys import deinterleave, gen_keys, interleave, random_bits
 from sqdc.protocol import (
@@ -13,6 +13,7 @@ from sqdc.protocol import (
     alice_measure_resend_step4,
     alice_prepare,
     alice_randomization_step4,
+    bob_measure_resend_step23,
     bob_randomization_step2,
     bob_randomization_step3,
     run_session,
@@ -30,6 +31,15 @@ def make_session(n, seed, variant=Variant.RANDOMIZATION):
 
 
 # -- preparation ------------------------------------------------------------------
+
+
+def test_prepare_structure_n16():
+    m, keys, register, session, q_seq = make_session(16, 0)
+    assert len(session.block) == 4
+    assert len(session.c_pairs) == 8
+    assert len(q_seq) == 16
+    assert all(state in (BellState.PHI_PLUS, BellState.PSI_MINUS)
+               for _, state in session.c_pairs)
 
 
 def test_prepare_zero_message_pairs():
@@ -93,6 +103,56 @@ def test_protocol_rejects(call, message):
 # -- randomization variant ---------------------------------------------------------
 
 
+def test_honest_randomization_steps():
+    for seed in range(200):
+        m, keys, register, session, q_seq = make_session(16, seed)
+        ok, decoded, cb = bob_randomization_step2(q_seq, keys, register)
+        assert ok and decoded == m
+        reflected = bob_randomization_step3(cb, keys)
+        assert len(reflected) == 8
+        cause, matches = alice_randomization_step4(reflected, session, register)
+        assert cause is DetectionCause.NONE and all(matches)
+
+
+def test_modify_one_s_qubit_flips_exactly_one_block_bit():
+    for seed in range(200):
+        m, keys, register, session, q_seq = make_session(32, seed)
+        rng = Random(seed + 5000)
+        s_positions = [i for i, b in enumerate(keys.k1) if b == 0]
+        j = rng.randrange(len(s_positions))
+        register.apply_pauli(q_seq[s_positions[j]], Pauli.IY)
+        s_qubits, _ = deinterleave(q_seq, keys)
+        results = register.measure_z(*s_qubits)
+        block = [results[2 * i] ^ results[2 * i + 1] for i in range(8)]
+        diff = [i for i in range(8) if block[i] != session.block[i]]
+        assert diff == [j // 2]
+
+
+def test_modify_s_qubit_rejected_by_bob():
+    rejects = 0
+    trials = 300
+    for seed in range(trials):
+        m, keys, register, session, q_seq = make_session(32, seed)
+        s_positions = [i for i, b in enumerate(keys.k1) if b == 0]
+        register.apply_pauli(q_seq[s_positions[0]], Pauli.IY)
+        ok, _, _ = bob_randomization_step2(q_seq, keys, register)
+        if not ok:
+            rejects += 1
+    # rejection fails only on a truncated-digest collision (rate ~2^-4 at n=32)
+    assert rejects / trials >= 1 - 2 ** -4 - 3 * (2 ** -4 / trials) ** 0.5
+
+
+def test_message_qubit_flip_is_bobs_rejection_alone():
+    # at n = 32 every one-bit flip of a block fails its checksum, and no checking pair is touched
+    for seed in range(50):
+        rng = Random(seed)
+        keys = gen_keys(32, rng)
+        attack = ModifySingleQubit(keys.k1.index(0))  # the first message qubit
+        out = run_session(Variant.RANDOMIZATION, random_bits(4, rng), keys, attack, QuantumRegister(seed))
+        assert (out.bob_accepts, out.alice_accepts, all(out.check_matches)) == (False, True, True)
+        assert out.detection_cause is DetectionCause.HASH_MISMATCH
+
+
 def test_intercepted_check_pairs_match_half_the_time():
     # Z-measuring a checking qubit in transit leaves a 1/2 per-pair match rate
     matches = 0
@@ -112,6 +172,37 @@ def test_intercepted_check_pairs_match_half_the_time():
 
 
 # -- measure-resend variant ---------------------------------------------------------
+
+
+def test_honest_measure_resend_verdicts():
+    reflect_flags = 0
+    trials = 2000
+    for seed in range(trials):
+        m, keys, register, session, q_seq = make_session(16, seed, Variant.MEASURE_RESEND)
+        ok, decoded, returned = bob_measure_resend_step23(q_seq, keys, register)
+        assert ok and decoded == m
+        # SHARE positions carry fresh qubits, CHECK positions the originals
+        assert [a == b for a, b in zip(q_seq, returned, strict=True)] == [k == 1 for k in keys.k1]
+        cause, matches = alice_measure_resend_step4(returned, session, register)
+        assert all(matches)  # reflected checking qubits are undisturbed
+        assert cause in (DetectionCause.NONE, DetectionCause.REFLECT_FLAG)
+        if cause is DetectionCause.REFLECT_FLAG:
+            reflect_flags += 1
+    # spurious reflect flag fires at (1/2)^(n/4) = 1/16
+    p = 2 ** -4
+    sigma = (p * (1 - p) / trials) ** 0.5
+    assert abs(reflect_flags / trials - p) <= 3.5 * sigma
+
+
+def test_measure_resend_modified_s_qubit_rejected():
+    for seed in range(200):
+        m, keys, register, session, q_seq = make_session(32, seed, Variant.MEASURE_RESEND)
+        s_positions = [i for i, b in enumerate(keys.k1) if b == 0]
+        register.apply_pauli(q_seq[s_positions[2]], Pauli.IY)
+        ok, _, returned = bob_measure_resend_step23(q_seq, keys, register)
+        # parity flip also lands the returned pair outside its allowed class
+        cause, _ = alice_measure_resend_step4(returned, session, register)
+        assert cause is DetectionCause.BELL_CHECK_FAILED
 
 
 @pytest.mark.parametrize(
@@ -137,3 +228,34 @@ def test_measure_resend_step4_causes_exact(s_pauli, c_pauli, expected):
         cause, matches = alice_measure_resend_step4(interleave(s, cb, keys), session, register)
         assert cause is expected
         assert all(matches) == (c_pauli is None)
+
+
+# -- orchestration ---------------------------------------------------------------
+
+
+def test_run_session_honest_outcome():
+    rng = Random(77)
+    keys = gen_keys(16, rng)
+    m = random_bits(2, rng)
+    outcome = run_session(Variant.RANDOMIZATION, m, keys, AttackStrategy(), QuantumRegister(123))
+    assert outcome.bob_accepts and outcome.alice_accepts
+    assert outcome.decoded_message == m
+    assert outcome.detection_cause is DetectionCause.NONE
+    assert not outcome.security_event
+    assert not outcome.detected
+    # the same register seed replays the session
+    assert run_session(Variant.RANDOMIZATION, m, keys, AttackStrategy(), QuantumRegister(123)) == outcome
+
+
+def test_detection_accounting_invariant():
+    # detection_cause is NONE exactly when both parties accept
+    rng = Random(79)
+    for seed in range(300):
+        keys = gen_keys(16, Random(seed))
+        m = random_bits(2, Random(seed + 1))
+        attack = ModifySingleQubit(rng.randrange(16))
+        out = run_session(Variant.RANDOMIZATION, m, keys, attack, QuantumRegister(seed))
+        both = bool(out.bob_accepts) and out.alice_accepts
+        assert (out.detection_cause is DetectionCause.NONE) == both
+        if out.security_event:
+            assert out.bob_accepts
