@@ -192,6 +192,8 @@ MUTANTS = [
      "an unknown report format is refused"),
     ("harness.py", "        if key not in doc:\n", "        if key not in doc and False:\n",
      "a document missing a required key is refused"),
+    ("harness.py", "phat * (1.0 - phat) / trials", "phat * (1.0 - phat)",
+     "a Wilson interval narrows as its trials grow"),
     # cli: the exit codes and the flags
     ("cli.py", "file=sys.stderr)\n        return 2", "file=sys.stderr)\n        return 1",
      "exit code 2 for a configuration error"),

@@ -48,6 +48,8 @@ def test_wilson_edge_counts():
     # the clamps: unclamped, these would round to 2.8e-17 and 1 - 1.1e-16
     assert wilson_interval(0, 13)[0] == 0.0
     assert wilson_interval(200, 200)[1] == 1.0
+    # an interior count, where the width is set by phat * (1 - phat) / trials
+    assert wilson_interval(50, 100) == pytest.approx((0.37528, 0.62472), abs=1e-5)
 
 
 def test_wilson_requires_trials():
