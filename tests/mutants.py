@@ -258,9 +258,19 @@ def summary(matrix: dict, tests: list):
     return {test: labels for test, labels in sole.items() if labels}, removable
 
 
+def tier1_tests() -> list:
+    """Every test the runs below name, in run order: pytest's collection of the checkout,
+    which writes nothing there."""
+    argv = [sys.executable, "-m", "pytest", "-q", "--collect-only", "-p", "no:cacheprovider",
+            *tier1_paths(ROOT), "--deselect", GUARD]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, check=True)
+    return [line for line in done.stdout.splitlines() if "::" in line]
+
+
 def run(mutant, matrix: bool):
-    """(failing tests, every test named, seconds) of tier-1 on a copy of the tree, with
-    the mutant applied unless it is None; a matrix run names the passing tests too."""
+    """(failing tests, seconds) of tier-1 on a copy of the tree, with the mutant applied
+    unless it is None."""
     text = mutant and mutated(mutant)
     tree = Path(tempfile.mkdtemp(prefix="sqdc-mutant-"))
     try:
@@ -272,8 +282,7 @@ def run(mutant, matrix: bool):
                 shutil.copy2(source, tree / name)
         if mutant:
             (tree / "src" / "sqdc" / mutant[0]).write_text(text, encoding="utf-8")
-        argv = [sys.executable, "-m", "pytest", "-q", "-rA" if matrix else "-rfE"]
-        argv += ["-p", "no:cacheprovider"]
+        argv = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider"]
         argv += ["--continue-on-collection-errors", *([] if matrix else ["-x"]), *tier1_paths(tree)]
         argv += ["--deselect", GUARD]  # it checks the list against unmutated sources
         env = dict(os.environ, PYTHONPATH=str(tree / "src"))
@@ -283,16 +292,15 @@ def run(mutant, matrix: bool):
                 argv, cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT
             )
         except subprocess.TimeoutExpired:
-            return [f"timeout after {TIMEOUT} s"], [], time.monotonic() - start
-        named = re.findall(r"^(PASSED|FAILED|ERROR) (\S+)", done.stdout, re.M)
-        failed = [test for outcome, test in named if outcome != "PASSED"]
+            return [f"timeout after {TIMEOUT} s"], time.monotonic() - start
+        failed = re.findall(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.M)
         # a kill is exit 1 naming a failing test; an internal error (3), an interrupt (2),
         # a usage error (4) or no tests (5) shows nothing of the mutant, so it stops the run
         if (done.returncode, bool(failed)) not in ((0, False), (1, True)):
             last = (done.stdout.strip().splitlines() or [""])[-1]
             sys.exit(f"pytest exit {done.returncode} on {mutant[3] if mutant else 'no mutant'}: "
                      f"{last}\nthe run stops, and no mutant is counted")
-        return failed, list(dict.fromkeys(test for _, test in named)), time.monotonic() - start
+        return failed, time.monotonic() - start
     finally:
         shutil.rmtree(tree, ignore_errors=True)
 
@@ -302,7 +310,7 @@ def main(argv=None) -> int:
     parser.add_argument("--matrix", action="store_true", help="run every test and list all that fail")
     args = parser.parse_args(argv)
     # a test that fails without a mutant would count as a kill of every one
-    failed, tests, seconds = run(None, args.matrix)
+    failed, seconds = run(None, args.matrix)
     if failed:
         print(f"tier-1 fails on the unmutated tree ({seconds:.1f} s); no mutant counted:",
               *failed, sep="\n    ")
@@ -313,7 +321,7 @@ def main(argv=None) -> int:
         file, _, _, breaks = MUTANTS[i]
         label = f"#{i} {file}: {breaks}"
         try:
-            failed, _, seconds = run(MUTANTS[i], args.matrix)
+            failed, seconds = run(MUTANTS[i], args.matrix)
         except (ValueError, SyntaxError) as exc:
             failed, seconds = [], 0.0
             label += f" [invalid: {exc}]"
@@ -333,7 +341,7 @@ def main(argv=None) -> int:
               f"{statistics.median(kill_seconds):.1f}, max {max(kill_seconds):.1f}, "
               f"total {sum(kill_seconds):.0f}")
     if args.matrix:
-        sole, removable = summary(matrix, tests)
+        sole, removable = summary(matrix, tier1_tests())
         print("mutants that only one test that is not a pin kills:")
         for test, labels in sole.items():
             print(f"    {test}", *labels, sep="\n        ")
