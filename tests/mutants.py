@@ -12,14 +12,15 @@ Lipton & Sayward, "Hints on Test Data Selection", IEEE Computer 11(4), 1978).
 Each mutant runs on a temporary copy of the tree, removed however the run ends,
 with one pytest process at a time; the checkout is never written. The test files
 run fastest first and tests/test_acceptance.py last, all but the guard, which
-fails on every mutant. Tier-1 first runs on a copy with no mutant, and the run
+fails on every mutant, and the pins (tests/test_pins.py and perfbench's gate),
+which fail on most but are rewritten by a re-pin, so a kill by a pin would show
+nothing the tests check. Tier-1 first runs on a copy with no mutant, and the run
 exits 1 unless that passes, then unless every mutant parses and is killed: pytest
 exits 1 naming a failing test, or times out. Any other pytest exit (an internal
-error, an interrupt, no tests) stops the run with exit 1, counting nothing. The
-pins (tests/test_pins.py and perfbench's gate) fail on most mutants, but a re-pin
-rewrites them, so when the kill matrix decides which tests carry weight, they do
-not count. `--matrix` ends with that decision, computed by `summary`: for each test
-that is not a pin, the mutants only it kills, then the tests that can go.
+error, an interrupt, no tests) stops the run with exit 1, counting nothing.
+`--matrix` ends with the kill matrix's decision of which tests carry weight,
+computed by `summary`: for each test, the mutants only it kills, then the tests
+that can go.
 """
 
 import argparse
@@ -150,6 +151,10 @@ MUTANTS = [
      "register.apply_pauli(qubits[self.target], Pauli.Z)", "the one-qubit modification is iY"),
     ("adversary.py", "\"s_msg\": s[: n // 4]", "\"s_msg\": s[n // 4 :]",
      "s_msg targets the message half"),
+    ("adversary.py", "\"c\": c", "\"c\": s", "target c is a checking qubit"),
+    ("adversary.py", "\"s\": s", "\"s\": c", "target s is a message-stream qubit"),
+    ("adversary.py", "target = rng.randrange(n)", "target = rng.randrange(n // 2)",
+     "a random target may be any position"),
     ("adversary.py", "0 <= value < n", "0 <= value <= n", "a position target is below n"),
     ("adversary.py", "0.625 ** (n / 2)", "0.625 ** (n / 4)", "closed form of idealized Bob"),
     ("adversary.py", "if variant not in self.variants:", "if variant is None:",
@@ -209,15 +214,19 @@ MUTANTS = [
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "perfbench", "pyproject.toml", "README.md", "BENCHMARK.json")
 IGNORED = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info")
-# the fastest test files first, then any other (the pins among them), perfbench's gate and
-# the acceptance criteria, so the first failure named is a test that is not a pin where one fails
+# the fastest test files first, then any other, perfbench and the acceptance criteria,
+# so a mutant's first failure comes soon
 FAST_FIRST = ("test_stdlib_only.py", "test_tracer_names.py", "test_codec.py", "test_protocol.py",
               "test_properties.py", "test_keys.py", "test_adversary.py", "test_qsim.py",
               "test_harness.py")
-# it reads the sources for each old text, so on a mutant it fails by construction
-GUARD = "tests/test_mutants.py::test_every_mutant_applies_and_parses"
-# a re-pin rewrites them, so a kill by a pin shows nothing of what the tests check
-PINS = ("tests/test_pins.py::", "perfbench/test_perfbench.py::test_gate_matches_pins")
+DESELECTED = [
+    # it reads the sources for each old text, so on a mutant it fails by construction
+    "tests/test_mutants.py::test_every_mutant_applies_and_parses",
+    # the pins: a re-pin rewrites them, so a kill by a pin shows nothing the tests check
+    "tests/test_pins.py",
+    "perfbench/test_perfbench.py::test_gate_matches_pins",
+]
+DESELECT = [arg for test in DESELECTED for arg in ("--deselect", test)]
 TIMEOUT = 900  # seconds; a mutant that loops forever counts as killed
 
 
@@ -244,14 +253,13 @@ def tier1_paths(tree: Path) -> list:
 def summary(matrix: dict, tests: list):
     """What a kill matrix (mutant label -> failing tests) says of `tests`, every test
     in run order: ({test: the mutants only it kills}, the tests that can go). A test
-    can go when each mutant it kills is killed by a remaining test; pins count for
-    neither. Candidates leave one at a time, in order, so of two tests that are each
-    other's only cover, the later one stays."""
-    kept = [test for test in tests if not test.startswith(PINS)]
-    kills = [{test for test in failed if not test.startswith(PINS)} for failed in matrix.values()]
-    sole = {test: [label for label, k in zip(matrix, kills) if k == {test}] for test in kept}
-    remaining, removable = set(kept), []
-    for test in kept:
+    can go when each mutant it kills is killed by a remaining test. Candidates leave
+    one at a time, in order, so of two tests that are each other's only cover, the
+    later one stays."""
+    kills = [set(failed) for failed in matrix.values()]
+    sole = {test: [label for label, k in zip(matrix, kills) if k == {test}] for test in tests}
+    remaining, removable = set(tests), []
+    for test in tests:
         if all(k & (remaining - {test}) for k in kills if test in k):
             remaining.remove(test)
             removable.append(test)
@@ -262,7 +270,7 @@ def tier1_tests() -> list:
     """Every test the runs below name, in run order: pytest's collection of the checkout,
     which writes nothing there."""
     argv = [sys.executable, "-m", "pytest", "-q", "--collect-only", "-p", "no:cacheprovider",
-            *tier1_paths(ROOT), "--deselect", GUARD]
+            *tier1_paths(ROOT), *DESELECT]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, check=True)
     return [line for line in done.stdout.splitlines() if "::" in line]
@@ -284,7 +292,7 @@ def run(mutant, matrix: bool):
             (tree / "src" / "sqdc" / mutant[0]).write_text(text, encoding="utf-8")
         argv = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider"]
         argv += ["--continue-on-collection-errors", *([] if matrix else ["-x"]), *tier1_paths(tree)]
-        argv += ["--deselect", GUARD]  # it checks the list against unmutated sources
+        argv += DESELECT
         env = dict(os.environ, PYTHONPATH=str(tree / "src"))
         start = time.monotonic()
         try:
@@ -342,7 +350,7 @@ def main(argv=None) -> int:
               f"total {sum(kill_seconds):.0f}")
     if args.matrix:
         sole, removable = summary(matrix, tier1_tests())
-        print("mutants that only one test that is not a pin kills:")
+        print("mutants that only one test kills:")
         for test, labels in sole.items():
             print(f"    {test}", *labels, sep="\n        ")
         print(f"tests that can go, each once those before it went: {len(removable)}", *removable, sep="\n    ")

@@ -5,6 +5,8 @@ one file per pin under `tests/golden/`, so a failing test's diff and a re-pin's
 `git diff` show what moved. An engine stream lists every measurement of a run,
 so it is pinned by SHA-256 in `tests/pins.json`. `tests/test_pins.py` checks
 every pin; `python tests/pins.py` rewrites them all from the sources beside it.
+Tests share its config builder, and `trial_outcomes`, which runs a config's
+sessions through `run_trial` as a run does.
 """
 
 import contextlib
@@ -142,16 +144,20 @@ class Recording(QuantumRegister):
         return outcome
 
 
+def trial_outcomes(config, register=QuantumRegister) -> list:
+    """The outcome of every trial of a valid config, as run_experiment runs them;
+    each trial's register is `register(its seed)`."""
+    config.validate()
+    return [run_trial(config, i, register=register) for i in range(config.trials)]
+
+
 def engine_stream(**overrides) -> str:
     """SHA-256 over every measurement of a run, then over each session's final
     register components. Unlike a saturated report, it moves with the engine
     state: the partner left by teleportation (idealized Bob) or entanglement
     swapping (concrete Bob), and the label an iY leaves (modify_single)."""
-    config = make_config(**overrides)
-    config.validate()
     Recording.built.clear()
-    for i in range(config.trials):  # the trials of run_experiment(config)
-        run_trial(config, i, register=Recording)
+    trial_outcomes(make_config(**overrides), register=Recording)
     registers = Recording.built
     text = [entry for register in registers for entry in register.log]
     text += [

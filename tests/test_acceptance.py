@@ -32,26 +32,13 @@ def report(num: int, description: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {num} failed: {description}{suffix}"
 
 
-def config(variant, attack, n, trials, seed, params=None):
-    return ExperimentConfig(
-        variant=variant,
-        attack=attack,
-        n=n,
-        trials=trials,
-        seed=seed,
-        attack_params=params or {},
-    )
-
-
 def test_criterion_1_honest_completeness():
     """Honest randomization-variant sessions always succeed and deliver the
     message intact, across block sizes."""
     ok = True
     details = []
     for n in (16, 32, 64):
-        stats = run_experiment(
-            config(Variant.RANDOMIZATION, "no_attack", n, 10_000, 101 + n)
-        )
+        stats = run_experiment(ExperimentConfig(Variant.RANDOMIZATION, "no_attack", n, 10_000, 101 + n))
         good = (
             stats.detection_rate == 0.0
             and stats.bob_accept_rate == 1.0
@@ -67,7 +54,7 @@ def test_criterion_2_intercept_resend_detection():
     """Z-basis intercept-resend at n=16: detection matches 1-(1/2)^8 and the
     message stream still verifies (the attack is invisible to the receiver)."""
     trials = 100_000
-    cfg = config(Variant.RANDOMIZATION, "intercept_resend", 16, trials, 202)
+    cfg = ExperimentConfig(Variant.RANDOMIZATION, "intercept_resend", 16, trials, 202)
     stats = run_experiment(cfg)
     target = 1 - 0.5 ** 8  # 0.99609375
     low, high = stats.wilson_99
@@ -85,7 +72,7 @@ def test_criterion_3_impersonate_bob_detection():
     n=16: overall detection matches 1-(5/8)^8 and the pooled per-slot pass
     rate matches 5/8."""
     trials = 100_000
-    cfg = config(Variant.RANDOMIZATION, "impersonate_bob", 16, trials, 303)
+    cfg = ExperimentConfig(Variant.RANDOMIZATION, "impersonate_bob", 16, trials, 303)
     detections = 0
     slot_passes = 0
     slot_total = 0
@@ -148,21 +135,17 @@ def test_criterion_5_single_qubit_modification():
     verifier. (b) Flipping one message-half qubit is caught by the checksum
     at rate at least 1-2^(-n/8)."""
     trials = 10_000
-    stats_c = run_experiment(
-        config(
-            Variant.RANDOMIZATION, "modify_single", 16, trials, 505, {"target": "c"}
-        )
-    )
+    stats_c = run_experiment(ExperimentConfig(
+        Variant.RANDOMIZATION, "modify_single", 16, trials, 505, attack_params={"target": "c"}
+    ))
     ok_a = stats_c.detection_rate == 1.0 and stats_c.alice_accept_rate == 0.0
 
     ok_b = True
     details = [f"c: rate={stats_c.detection_rate}"]
     for n, seed in ((32, 506), (128, 507)):
-        stats_s = run_experiment(
-            config(
-                Variant.RANDOMIZATION, "modify_single", n, trials, seed, {"target": "s_msg"}
-            )
-        )
+        stats_s = run_experiment(ExperimentConfig(
+            Variant.RANDOMIZATION, "modify_single", n, trials, seed, attack_params={"target": "s_msg"}
+        ))
         bound = 1 - 0.5 ** (n / 8)
         sigma = (0.5 ** (n / 8) / trials) ** 0.5
         reject = 1.0 - stats_s.bob_accept_rate
@@ -182,9 +165,7 @@ def test_criterion_6_impersonate_alice():
     for truncated-checksum collisions (rate 2^-4), and undetected message
     substitution is bounded by the same rate."""
     trials = 10_000
-    stats = run_experiment(
-        config(Variant.RANDOMIZATION, "impersonate_alice", 32, trials, 606)
-    )
+    stats = run_experiment(ExperimentConfig(Variant.RANDOMIZATION, "impersonate_alice", 32, trials, 606))
     p = 2 ** -4
     sigma = (p * (1 - p) / trials) ** 0.5
     reject = 1.0 - stats.bob_accept_rate
@@ -203,14 +184,12 @@ def test_criterion_7_reflect_all():
     always flagged, while honest runs trip the same flag at exactly the
     false-positive rate (1/2)^(n/4)."""
     trials = 10_000
-    stats = run_experiment(
-        config(Variant.MEASURE_RESEND, "reflect_all", 16, trials, 707)
-    )
+    stats = run_experiment(ExperimentConfig(Variant.MEASURE_RESEND, "reflect_all", 16, trials, 707))
     all_flagged = (
         stats.detection_rate == 1.0
         and stats.cause_counts["reflect_flag"] == trials
     )
-    honest = run_experiment(config(Variant.MEASURE_RESEND, "no_attack", 16, trials, 708))
+    honest = run_experiment(ExperimentConfig(Variant.MEASURE_RESEND, "no_attack", 16, trials, 708))
     low, high = honest.wilson_99
     fp = 0.5 ** 4
     ok = all_flagged and low <= fp <= high
@@ -344,9 +323,9 @@ def test_criterion_10_guessed_key_acceptance_exact():
     assert brute / comb(16, 8) == exact[16]
 
     trials = 20_000
-    stats = run_experiment(
-        config(Variant.MEASURE_RESEND, "impersonate_bob", 16, trials, 1010, {"mode": "concrete"})
-    )
+    stats = run_experiment(ExperimentConfig(
+        Variant.MEASURE_RESEND, "impersonate_bob", 16, trials, 1010, attack_params={"mode": "concrete"}
+    ))
     target = 1 - exact[16]  # 7961/8580
     low, high = stats.wilson_99
     ok = low <= target <= high and stats.bob_accept_rate == 0.0

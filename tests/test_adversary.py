@@ -7,29 +7,16 @@ import pytest
 from sqdc.adversary import (
     ATTACKS,
     AttackStrategy,
-    ImpersonateAlice,
     ImpersonateBobConcrete,
-    ImpersonateBobIdealized,
     InterceptResend,
     ModifySingleQubit,
-    ReflectAll,
 )
 from sqdc.harness import ExperimentConfig, run_experiment
 from sqdc.keys import deinterleave, gen_keys, random_bits
 from sqdc.protocol import DetectionCause, Variant, run_session
 from sqdc.qsim import BellState, QuantumRegister
 from dense_oracle import DenseRegister
-
-
-def run_many(variant, n, attack_factory, trials, base_seed):
-    outcomes = []
-    for i in range(trials):
-        rng = Random(base_seed + i)
-        keys = gen_keys(n, rng, include_k2=variant.holds_k2)
-        m = random_bits(n // 8, rng)
-        register = QuantumRegister(base_seed * 31 + i)
-        outcomes.append(run_session(variant, m, keys, attack_factory(rng), register))
-    return outcomes
+from pins import attack_of, make_config, trial_outcomes
 
 
 # -- baseline -----------------------------------------------------------------
@@ -68,7 +55,7 @@ def test_intercept_resend_forwards_fresh_qubits():
 
 
 def test_intercept_resend_detection_rate_n16():
-    outcomes = run_many(Variant.RANDOMIZATION, 16, lambda rng: InterceptResend(), 2000, 100)
+    outcomes = trial_outcomes(make_config(attack="intercept_resend", trials=2000, seed=100))
     assert all(o.bob_accepts for o in outcomes)  # parity survives Z measurement
     detected = sum(o.detected for o in outcomes)
     p = 1 - 0.5 ** 8
@@ -82,22 +69,24 @@ def test_intercept_resend_detection_rate_n16():
 
 
 @pytest.mark.parametrize(
-    "base_seed, p, events",
+    "seed, p, events",
     [
         (300, 5 / 8, lambda o: o.check_matches),  # each checking pair matches
         (400, 1 - (5 / 8) ** 8, lambda o: [o.detected]),  # some pair does not
     ],
     ids=["per_slot", "detection"],
 )
-def test_impersonate_bob_idealized_rates(base_seed, p, events):
-    outcomes = run_many(Variant.RANDOMIZATION, 16, ImpersonateBobIdealized, 3000, base_seed)
+def test_impersonate_bob_idealized_rates(seed, p, events):
+    config = make_config(**attack_of("impersonate_bob", mode="idealized"), trials=3000, seed=seed)
+    outcomes = trial_outcomes(config)
     flags = [e for o in outcomes for e in events(o)]
     sigma = (p * (1 - p) / len(flags)) ** 0.5
     assert abs(sum(flags) / len(flags) - p) <= 3 * sigma
 
 
 def test_impersonate_bob_concrete_bypasses_bob():
-    outcomes = run_many(Variant.RANDOMIZATION, 16, ImpersonateBobConcrete, 500, 500)
+    config = make_config(**attack_of("impersonate_bob", mode="concrete"), trials=500, seed=500)
+    outcomes = trial_outcomes(config)
     assert all(o.bob_accepts is None for o in outcomes)
     assert all(o.decoded_message is None for o in outcomes)
     assert not any(o.security_event for o in outcomes)
@@ -136,7 +125,7 @@ def test_impersonate_bob_unknown_mode():
 
 
 def test_impersonate_alice_acceptance_bounded_by_forgery_rate():
-    outcomes = run_many(Variant.RANDOMIZATION, 32, ImpersonateAlice, 2000, 600)
+    outcomes = trial_outcomes(make_config(attack="impersonate_alice", n=32, trials=2000, seed=600))
     accepts = sum(bool(o.bob_accepts) for o in outcomes)
     p = 2 ** -4  # truncated-digest collision rate at n=32
     sigma = (p * (1 - p) / len(outcomes)) ** 0.5
@@ -152,13 +141,8 @@ def test_impersonate_alice_acceptance_bounded_by_forgery_rate():
 
 
 def test_modify_single_checking_qubit_always_detected():
-    for i in range(300):
-        rng = Random(700 + i)
-        keys = gen_keys(16, rng)
-        m = random_bits(2, rng)
-        c_positions = [j for j, b in enumerate(keys.k1) if b == 1]
-        attack = ModifySingleQubit(rng.choice(c_positions))
-        out = run_session(Variant.RANDOMIZATION, m, keys, attack, QuantumRegister(9000 + i))
+    config = make_config(**attack_of("modify_single", target="c"), trials=300, seed=700)
+    for out in trial_outcomes(config):
         assert out.bob_accepts  # the message stream is untouched
         assert not out.alice_accepts
         assert out.detection_cause is DetectionCause.BELL_CHECK_FAILED
@@ -166,11 +150,15 @@ def test_modify_single_checking_qubit_always_detected():
 
 def test_s_msg_targets_a_message_half_qubit():
     # the flipped qubit carries one of the block's n/8 message bits, not a checksum bit
+    build = ATTACKS["modify_single"].build
     for seed in range(20):
         rng = Random(seed)
         keys = gen_keys(64, rng)
-        attack = ATTACKS["modify_single"].build({"target": "s_msg"}, rng, keys, Variant.RANDOMIZATION)
+        attack = build({"target": "s_msg"}, rng, keys, Variant.RANDOMIZATION)
         assert attack.target in deinterleave(range(64), keys)[0][:16]
+    # a random target lands anywhere: 200 draws at n=16 cover all 16 positions
+    keys = gen_keys(16, rng)
+    assert {build({}, rng, keys, Variant.RANDOMIZATION).target for _ in range(200)} == set(range(16))
 
 
 def test_modify_single_validation():
@@ -186,8 +174,8 @@ def test_modify_single_validation():
 
 
 def test_reflect_all_always_flagged():
-    outcomes = run_many(Variant.MEASURE_RESEND, 16, lambda rng: ReflectAll(), 300, 800)
-    for o in outcomes:
+    config = make_config(variant=Variant.MEASURE_RESEND, attack="reflect_all", trials=300, seed=800)
+    for o in trial_outcomes(config):
         assert o.bob_accepts is None
         assert not o.alice_accepts
         assert o.detection_cause is DetectionCause.REFLECT_FLAG

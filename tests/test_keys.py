@@ -174,14 +174,11 @@ def test_permutation_pinned_regression_n256():
 
 
 def fisher_yates_reference(k, length):
-    """The explicit Fisher-Yates loop that permutation_from_key replaced."""
+    """The k2 permutation as `Random.shuffle` draws it, from the seed permutation_from_key derives."""
     # test_codec pins codec.pack_bits to a bit-by-bit loop for every length
     seed = int.from_bytes(hashlib.sha256(pack_bits(k)).digest()[:8], "big")
-    rng = Random(seed)
     mapping = list(range(length))
-    for i in range(length - 1, 0, -1):
-        j = rng.randrange(i + 1)
-        mapping[i], mapping[j] = mapping[j], mapping[i]
+    Random(seed).shuffle(mapping)
     return tuple(mapping)
 
 

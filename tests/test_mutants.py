@@ -16,13 +16,12 @@ def test_every_mutant_applies_and_parses():
 
 def test_summary_of_a_fixed_matrix():
     a, b, c, d, e = (f"tests/test_x.py::test_{name}" for name in "abcde")
-    pin = "tests/test_pins.py::test_text_pin[x]"
     matrix = {
         "#0 m": [a, b],  # a and b: each the other's only cover, so only a can go
-        "#1 m": [c, pin],  # the pin does not count: c alone kills it
-        "#2 m": [pin],
+        "#1 m": [c],
+        "#2 m": [],  # a survivor binds no test
         "#3 m": [d, c],
     }
-    sole, removable = summary(matrix, [a, pin, b, c, d, e])
+    sole, removable = summary(matrix, [a, b, c, d, e])
     assert sole == {c: ["#1 m"]}
     assert removable == [a, d, e]  # e kills nothing

@@ -4,8 +4,9 @@ from random import Random
 
 import pytest
 
-from sqdc.adversary import AttackStrategy, InterceptResend, ModifySingleQubit
+from sqdc.adversary import AttackStrategy, InterceptResend
 from sqdc.codec import ALPHABET
+from sqdc.harness import run_trial
 from sqdc.keys import deinterleave, gen_keys, interleave, random_bits
 from sqdc.protocol import (
     DetectionCause,
@@ -19,6 +20,7 @@ from sqdc.protocol import (
     run_session,
 )
 from sqdc.qsim import BellState, Pauli, QuantumRegister
+from pins import attack_of, make_config, trial_outcomes
 
 
 def make_session(n, seed, variant=Variant.RANDOMIZATION):
@@ -59,10 +61,7 @@ def test_prepare_checking_states_uniform():
     counts = 0
     total = 0
     for seed in range(10_000):
-        rng = Random(seed)
-        keys = gen_keys(16, rng)
-        register = QuantumRegister(seed)
-        session, _ = alice_prepare(random_bits(2, rng), keys, register, Variant.RANDOMIZATION)
+        session = make_session(16, seed)[3]
         counts += sum(1 for _, s in session.c_pairs if s == BellState.PHI_PLUS)
         total += len(session.c_pairs)
     assert abs(counts / total - 0.5) < 0.02
@@ -144,11 +143,8 @@ def test_modify_s_qubit_rejected_by_bob():
 
 def test_message_qubit_flip_is_bobs_rejection_alone():
     # at n = 32 every one-bit flip of a block fails its checksum, and no checking pair is touched
-    for seed in range(50):
-        rng = Random(seed)
-        keys = gen_keys(32, rng)
-        attack = ModifySingleQubit(keys.k1.index(0))  # the first message qubit
-        out = run_session(Variant.RANDOMIZATION, random_bits(4, rng), keys, attack, QuantumRegister(seed))
+    config = make_config(**attack_of("modify_single", target="s"), n=32, trials=50, seed=0)
+    for out in trial_outcomes(config):
         assert (out.bob_accepts, out.alice_accepts, all(out.check_matches)) == (False, True, True)
         assert out.detection_cause is DetectionCause.HASH_MISMATCH
 
@@ -234,27 +230,21 @@ def test_measure_resend_step4_causes_exact(s_pauli, c_pauli, expected):
 
 
 def test_run_session_honest_outcome():
-    rng = Random(77)
-    keys = gen_keys(16, rng)
-    m = random_bits(2, rng)
-    outcome = run_session(Variant.RANDOMIZATION, m, keys, AttackStrategy(), QuantumRegister(123))
+    config = make_config(trials=1, seed=77, message="8")  # the message bits 1, 0
+    outcome = run_trial(config, 0)
     assert outcome.bob_accepts and outcome.alice_accepts
-    assert outcome.decoded_message == m
+    assert outcome.decoded_message == [1, 0]
     assert outcome.detection_cause is DetectionCause.NONE
     assert not outcome.security_event
     assert not outcome.detected
-    # the same register seed replays the session
-    assert run_session(Variant.RANDOMIZATION, m, keys, AttackStrategy(), QuantumRegister(123)) == outcome
+    # the same config and trial index replay the session
+    assert run_trial(config, 0) == outcome
 
 
 def test_detection_accounting_invariant():
     # detection_cause is NONE exactly when both parties accept
-    rng = Random(79)
-    for seed in range(300):
-        keys = gen_keys(16, Random(seed))
-        m = random_bits(2, Random(seed + 1))
-        attack = ModifySingleQubit(rng.randrange(16))
-        out = run_session(Variant.RANDOMIZATION, m, keys, attack, QuantumRegister(seed))
+    config = make_config(**attack_of("modify_single", target="random"), trials=300, seed=79)
+    for out in trial_outcomes(config):
         both = bool(out.bob_accepts) and out.alice_accepts
         assert (out.detection_cause is DetectionCause.NONE) == both
         if out.security_event:

@@ -16,6 +16,15 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "sqdc"
 TESTS = Path(__file__).resolve().parent
 
 
+def parsed(directory) -> dict:
+    """file name -> (parsed tree, lines) of each source in the directory, in name order."""
+    sources = {path.name: path.read_text() for path in sorted(directory.glob("*.py"))}
+    return {name: (ast.parse(text, name), text.splitlines()) for name, text in sources.items()}
+
+
+SOURCES, TEST_SOURCES = parsed(SRC), parsed(TESTS)
+
+
 def owners(tree) -> dict:
     """id of each node -> name of the innermost function around it."""
     # ast.walk is breadth first, so the innermost function is written last
@@ -27,18 +36,18 @@ def owners(tree) -> dict:
     }
 
 
-def imports(directory):
-    """("file:line", module) for each absolute import in the directory's sources."""
-    for path in sorted(directory.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+def imports(sources):
+    """("file:line", module) for each absolute import in the parsed sources."""
+    for name, (tree, _) in sources.items():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
-                yield from ((f"{path.name}:{node.lineno}", alias.name) for alias in node.names)
+                yield from ((f"{name}:{node.lineno}", alias.name) for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                yield f"{path.name}:{node.lineno}", node.module
+                yield f"{name}:{node.lineno}", node.module
 
 
 def test_package_imports_only_the_standard_library():
-    found, stdlib = list(imports(SRC)), sys.stdlib_module_names
+    found, stdlib = list(imports(SOURCES)), sys.stdlib_module_names
     assert found
     assert [f"{site} {name}" for site, name in found if name.split(".")[0] not in stdlib] == []
 
@@ -47,12 +56,12 @@ def test_only_keys_copies_the_stdlib_draws():
     # Reports reproduce only while the draws copy CPython's `_randbelow`; one
     # module owns that copy, so a CPython change is mended in one place.
     users = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for name, (tree, _) in SOURCES.items():
+        for node in ast.walk(tree):
             names = [getattr(node, "id", None), getattr(node, "attr", None)]
             names += [alias.name for alias in getattr(node, "names", [])]
             if "getrandbits" in names:
-                users.append(f"{path.name}:{node.lineno}")
+                users.append(f"{name}:{node.lineno}")
     assert {user.split(":")[0] for user in users} == {"keys.py"}, users
 
 
@@ -60,8 +69,7 @@ def test_config_errors_are_translated_in_one_place():
     # `harness._checked` is the one ValueError -> ConfigError translation;
     # only the document parser, which also reads JSON, keeps handlers of its own.
     translators = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
+    for name, (tree, _) in SOURCES.items():
         owner = owners(tree)
         for handler in ast.walk(tree):
             if isinstance(handler, ast.ExceptHandler) and any(
@@ -69,7 +77,7 @@ def test_config_errors_are_translated_in_one_place():
                 and "ConfigError" in {getattr(sub, "id", None) for sub in ast.walk(node)}
                 for node in ast.walk(handler)
             ):
-                translators.append(f"{path.name}::{owner.get(id(handler))}")
+                translators.append(f"{name}::{owner.get(id(handler))}")
     assert set(translators) == {"harness.py::_checked", "harness.py::load_session_config"}
 
 
@@ -77,15 +85,15 @@ def test_only_keys_walks_k1():
     # `keys.interleave` and `deinterleave` are the one map from k1 bits to
     # positions; a loop over k1 elsewhere would be a second copy of it.
     walkers = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "keys.py":
+    for name, (tree, _) in SOURCES.items():
+        if name == "keys.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        for node in ast.walk(tree):
             if not isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
                 continue
             names = {getattr(sub, "id", getattr(sub, "attr", None)) for sub in ast.walk(node.iter)}
             if "k1" in names:
-                walkers.append(f"{path.name}:{node.iter.lineno}")
+                walkers.append(f"{name}:{node.iter.lineno}")
     assert walkers == []
 
 
@@ -96,16 +104,14 @@ def test_only_check_keys_tests_k2_against_none():
     # a function that names k2, would be a copy free to drift from them.
     # `keys.KeyMaterial` checks a present k2's shape, not the variant.
     found = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "keys.py":
+    for name, (tree, lines) in SOURCES.items():
+        if name == "keys.py":
             continue
-        lines = path.read_text().splitlines()
-        tree = ast.parse("\n".join(lines), str(path))
         owner = owners(tree)
         for node in ast.walk(tree):
             if not isinstance(node, ast.Compare):
                 continue
-            site = (f"{path.name}::{owner.get(id(node))}", node.lineno)
+            site = (f"{name}::{owner.get(id(node))}", node.lineno)
             operands = [node.left, *node.comparators]
             if any(getattr(o, "attr", None) == "k2" for o in operands) and any(
                 isinstance(o, ast.Constant) and o.value is None for o in operands
@@ -122,14 +128,13 @@ def test_sessions_run_only_through_run_trial():
     # A second caller of trial_seeds or run_session would be a second trial
     # path, free to drift from the one that reports are pinned on.
     calls = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
+    for name, (tree, _) in SOURCES.items():
         owner = owners(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
-                name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                if name in ("trial_seeds", "run_session"):
-                    calls.append(f"{path.name}::{owner.get(id(node))} calls {name}")
+                called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if called in ("trial_seeds", "run_session"):
+                    calls.append(f"{name}::{owner.get(id(node))} calls {called}")
     assert sorted(calls) == [
         "harness.py::run_trial calls run_session",
         "harness.py::run_trial calls trial_seeds",
@@ -141,8 +146,7 @@ def test_only_run_trial_builds_a_register():
     # the class to build, so a test observes a trial by passing a subclass.
     # `bell_probabilities` builds a scratch register that draws nothing.
     builders = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
+    for name, (tree, _) in SOURCES.items():
         owner = owners(tree)
         classes = {"QuantumRegister"}  # and each parameter that defaults to it
         for node in ast.walk(tree):
@@ -154,7 +158,7 @@ def test_only_run_trial_builds_a_register():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 if getattr(node.func, "id", getattr(node.func, "attr", None)) in classes:
-                    builders.append(f"{path.name}::{owner.get(id(node))}")
+                    builders.append(f"{name}::{owner.get(id(node))}")
     assert sorted(builders) == ["harness.py::run_trial", "qsim.py::bell_probabilities"]
 
 
@@ -163,8 +167,7 @@ def test_no_test_patches_sqdc():
     # `register=`), not by rebinding a module, class or function of sqdc.
     patchers = {"patch", "setattr", "delattr", "setitem", "delitem"}  # and patch's own methods
     found = []
-    for path in sorted(TESTS.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
+    for name, (tree, _) in TEST_SOURCES.items():
         sqdc_names = {"sqdc"}  # names bound to sqdc or to something in it
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sqdc":
@@ -182,15 +185,14 @@ def test_no_test_patches_sqdc():
                 target = target.value
             root = getattr(target, "id", getattr(target, "value", None))
             if isinstance(root, str) and root.split(".")[0] in sqdc_names:
-                found.append(f"{path.name}:{node.lineno}")
+                found.append(f"{name}:{node.lineno}")
     assert found == []
 
 
 def test_cli_names_an_experiment_once():
     # `run` and `analytic` share one parent parser for the flags that name an
     # experiment, and one ExperimentConfig is built for both commands.
-    tree = ast.parse((SRC / "cli.py").read_text(), "cli.py")
-    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    calls = [node for node in ast.walk(SOURCES["cli.py"][0]) if isinstance(node, ast.Call)]
     built = [c for c in calls if getattr(c.func, "id", None) == "ExperimentConfig"]
     flags = [
         c.args[0].value
@@ -205,9 +207,9 @@ def test_package_holds_no_amplitudes():
     # Every state the protocols reach is a label; the amplitudes those labels
     # stand for are written once, in the tests' dense oracle.
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        f"{name}:{node.lineno}"
+        for name, (tree, _) in SOURCES.items()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Constant) and isinstance(node.value, complex)
         or "complex" in (getattr(node, "id", None), getattr(node, "attr", None))
     ]
@@ -219,4 +221,4 @@ def test_no_test_module_imports_another():
     # pins, mutants): a name a test module exports couples its collection to
     # its importers', so deleting it fails theirs, and a mutant run reads that
     # collection error as a kill.
-    assert [site for site, name in imports(TESTS) if name.startswith("test_")] == []
+    assert [site for site, name in imports(TEST_SOURCES) if name.startswith("test_")] == []
