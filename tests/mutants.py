@@ -123,6 +123,8 @@ MUTANTS = [
     ("protocol.py", "ALPHABET[random() >= 0.5] for _ in range(n // 2)",
      "ALPHABET[random() >= 0.25] for _ in range(n // 2)",
      "checking pairs are uniform over the alphabet"),
+    ("protocol.py", "ALPHABET[random() >= 0.5] for _ in range(n // 2)",
+     "ALPHABET[random() >= 0.49] for _ in range(n // 2)", "checking pairs are uniform to 1%"),
     ("protocol.py", "if alice_ok and bob_ok is False", "if alice_ok and not bob_ok",
      "a session that bypasses Bob has no hash verdict"),
     ("protocol.py", "security_event = bool(bob_ok) and", "security_event =",

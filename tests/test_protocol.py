@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from sqdc.adversary import AttackStrategy, InterceptResend
+from sqdc.adversary import AttackStrategy
 from sqdc.codec import ALPHABET
 from sqdc.harness import run_trial
 from sqdc.keys import deinterleave, gen_keys, interleave, random_bits
@@ -15,8 +15,6 @@ from sqdc.protocol import (
     alice_prepare,
     alice_randomization_step4,
     bob_measure_resend_step23,
-    bob_randomization_step2,
-    bob_randomization_step3,
     run_session,
 )
 from sqdc.qsim import BellState, Pauli, QuantumRegister
@@ -58,13 +56,12 @@ def test_prepare_zero_message_pairs():
 
 
 def test_prepare_checking_states_uniform():
-    counts = 0
-    total = 0
+    counts = total = 0
     for seed in range(10_000):
         session = make_session(16, seed)[3]
         counts += sum(1 for _, s in session.c_pairs if s == BellState.PHI_PLUS)
         total += len(session.c_pairs)
-    assert abs(counts / total - 0.5) < 0.02
+    assert abs(counts / total - 0.5) <= 3 * (0.25 / total) ** 0.5
 
 
 def keys_then_message(seed, n, message_bits, include_k2=True):
@@ -103,14 +100,10 @@ def test_protocol_rejects(call, message):
 
 
 def test_honest_randomization_steps():
-    for seed in range(200):
-        m, keys, register, session, q_seq = make_session(16, seed)
-        ok, decoded, cb = bob_randomization_step2(q_seq, keys, register)
-        assert ok and decoded == m
-        reflected = bob_randomization_step3(cb, keys)
-        assert len(reflected) == 8
-        cause, matches = alice_randomization_step4(reflected, session, register)
-        assert cause is DetectionCause.NONE and all(matches)
+    for out in trial_outcomes(make_config(n=16, trials=200, seed=0)):
+        assert out.bob_accepts and not out.security_event
+        assert out.detection_cause is DetectionCause.NONE
+        assert len(out.check_matches) == 8 and all(out.check_matches)
 
 
 def test_modify_one_s_qubit_flips_exactly_one_block_bit():
@@ -128,17 +121,10 @@ def test_modify_one_s_qubit_flips_exactly_one_block_bit():
 
 
 def test_modify_s_qubit_rejected_by_bob():
-    rejects = 0
-    trials = 300
-    for seed in range(trials):
-        m, keys, register, session, q_seq = make_session(32, seed)
-        s_positions = [i for i, b in enumerate(keys.k1) if b == 0]
-        register.apply_pauli(q_seq[s_positions[0]], Pauli.IY)
-        ok, _, _ = bob_randomization_step2(q_seq, keys, register)
-        if not ok:
-            rejects += 1
-    # rejection fails only on a truncated-digest collision (rate ~2^-4 at n=32)
-    assert rejects / trials >= 1 - 2 ** -4 - 3 * (2 ** -4 / trials) ** 0.5
+    # A flipped message-half qubit flips one message bit, and at n = 32 every such
+    # flip changes the checksum: test_codec's exact rates put detection at 1 here.
+    config = make_config(**attack_of("modify_single", target="s_msg"), n=32, trials=300, seed=0)
+    assert not any(out.bob_accepts for out in trial_outcomes(config))
 
 
 def test_message_qubit_flip_is_bobs_rejection_alone():
@@ -151,20 +137,12 @@ def test_message_qubit_flip_is_bobs_rejection_alone():
 
 def test_intercepted_check_pairs_match_half_the_time():
     # Z-measuring a checking qubit in transit leaves a 1/2 per-pair match rate
-    matches = 0
-    total = 0
-    for seed in range(500):
-        m, keys, register, session, q_seq = make_session(16, seed)
-        attack = InterceptResend()
-        q_obs = attack.tamper_forward(register, q_seq)
-        ok, decoded, cb = bob_randomization_step2(q_obs, keys, register)
-        assert ok and decoded == m  # parity survives Z measurement
-        reflected = bob_randomization_step3(cb, keys)
-        _, per_pair = alice_randomization_step4(reflected, session, register)
-        matches += sum(per_pair)
-        total += len(per_pair)
-    sigma = (0.25 / total) ** 0.5
-    assert abs(matches / total - 0.5) <= 3 * sigma
+    matches = []
+    for out in trial_outcomes(make_config(attack="intercept_resend", n=16, trials=500, seed=0)):
+        assert out.bob_accepts and not out.security_event  # parity survives Z measurement
+        matches += out.check_matches
+    sigma = (0.25 / len(matches)) ** 0.5
+    assert abs(sum(matches) / len(matches) - 0.5) <= 3 * sigma
 
 
 # -- measure-resend variant ---------------------------------------------------------
@@ -191,14 +169,10 @@ def test_honest_measure_resend_verdicts():
 
 
 def test_measure_resend_modified_s_qubit_rejected():
-    for seed in range(200):
-        m, keys, register, session, q_seq = make_session(32, seed, Variant.MEASURE_RESEND)
-        s_positions = [i for i, b in enumerate(keys.k1) if b == 0]
-        register.apply_pauli(q_seq[s_positions[2]], Pauli.IY)
-        ok, _, returned = bob_measure_resend_step23(q_seq, keys, register)
-        # parity flip also lands the returned pair outside its allowed class
-        cause, _ = alice_measure_resend_step4(returned, session, register)
-        assert cause is DetectionCause.BELL_CHECK_FAILED
+    # parity flip also lands the returned pair outside its allowed class
+    attack = attack_of("modify_single", target="s")
+    config = make_config(variant=Variant.MEASURE_RESEND, **attack, n=32, trials=200, seed=0)
+    assert {out.detection_cause for out in trial_outcomes(config)} == {DetectionCause.BELL_CHECK_FAILED}
 
 
 @pytest.mark.parametrize(

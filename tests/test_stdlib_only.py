@@ -5,8 +5,8 @@ random draws. Every session, of a run or of a document, runs through
 `harness.run_trial`, which alone builds its register, and no test patches
 sqdc to reach one. One helper turns a ValueError into a ConfigError. One
 property states which variant takes a k2. The command line declares the flags
-that name an experiment once. The engine holds labels, not amplitudes. And
-no test module imports another."""
+that name an experiment once. The engine holds labels, not amplitudes. One
+memo keeps the last k2 permutation. And no test module imports another."""
 
 import ast
 import sys
@@ -187,6 +187,20 @@ def test_no_test_patches_sqdc():
             if isinstance(root, str) and root.split(".")[0] in sqdc_names:
                 found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def test_only_the_k2_permutation_is_memoised():
+    # perfbench/run.py replays the same batch on every pass, so a memo keyed by
+    # a trial's own values hits from the second pass on: a gain no real run
+    # sees. The one memo keeps the last k2 permutation, which Bob's step 3 and
+    # Alice's step 4 of a trial share.
+    found = []
+    for name, (tree, lines) in SOURCES.items():
+        owner = owners(tree)
+        for node in ast.walk(tree):
+            if getattr(node, "id", getattr(node, "attr", None)) in ("lru_cache", "cache", "cached_property"):
+                found.append(f"{name}::{owner.get(id(node))} {lines[node.lineno - 1].strip()}")
+    assert found == ["keys.py::_permutation @lru_cache(maxsize=1)"]
 
 
 def test_cli_names_an_experiment_once():
