@@ -4,10 +4,10 @@ A mutant is (file under src/sqdc, old text, new text, what it breaks): the old
 text occurs once in the file, and the mutant is the program with it replaced,
 a small variant that a suite worth its lines tells from the program (DeMillo,
 Lipton & Sayward, "Hints on Test Data Selection", IEEE Computer 11(4), 1978).
-`tests/test_mutants.py` checks the list against the sources without running it.
+`tests/test_mutants.py` checks the list against the sources without running it,
+and that every test `DESELECTED` names exists.
 
-    python tests/mutants.py           # tier-1 with -x per mutant: killed or survived
-    python tests/mutants.py --matrix  # tier-1 without -x per mutant: every failing test
+    python tests/mutants.py   # tier-1 with -x per mutant: killed or survived
 
 Each mutant runs on a temporary copy of the tree, removed however the run ends,
 with one pytest process at a time; the checkout is never written. The test files
@@ -18,9 +18,6 @@ nothing the tests check. Tier-1 first runs on a copy with no mutant, and the run
 exits 1 unless that passes, then unless every mutant parses and is killed: pytest
 exits 1 naming a failing test, or times out. Any other pytest exit (an internal
 error, an interrupt, no tests) stops the run with exit 1, counting nothing.
-`--matrix` ends with the kill matrix's decision of which tests carry weight,
-computed by `summary`: for each test, the mutants only it kills, then the tests
-that can go.
 """
 
 import argparse
@@ -252,33 +249,7 @@ def tier1_paths(tree: Path) -> list:
     return [*first, "perfbench", last]
 
 
-def summary(matrix: dict, tests: list):
-    """What a kill matrix (mutant label -> failing tests) says of `tests`, every test
-    in run order: ({test: the mutants only it kills}, the tests that can go). A test
-    can go when each mutant it kills is killed by a remaining test. Candidates leave
-    one at a time, in order, so of two tests that are each other's only cover, the
-    later one stays."""
-    kills = [set(failed) for failed in matrix.values()]
-    sole = {test: [label for label, k in zip(matrix, kills) if k == {test}] for test in tests}
-    remaining, removable = set(tests), []
-    for test in tests:
-        if all(k & (remaining - {test}) for k in kills if test in k):
-            remaining.remove(test)
-            removable.append(test)
-    return {test: labels for test, labels in sole.items() if labels}, removable
-
-
-def tier1_tests() -> list:
-    """Every test the runs below name, in run order: pytest's collection of the checkout,
-    which writes nothing there."""
-    argv = [sys.executable, "-m", "pytest", "-q", "--collect-only", "-p", "no:cacheprovider",
-            *tier1_paths(ROOT), *DESELECT]
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, check=True)
-    return [line for line in done.stdout.splitlines() if "::" in line]
-
-
-def run(mutant, matrix: bool):
+def run(mutant):
     """(failing tests, seconds) of tier-1 on a copy of the tree, with the mutant applied
     unless it is None."""
     text = mutant and mutated(mutant)
@@ -293,8 +264,7 @@ def run(mutant, matrix: bool):
         if mutant:
             (tree / "src" / "sqdc" / mutant[0]).write_text(text, encoding="utf-8")
         argv = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider"]
-        argv += ["--continue-on-collection-errors", *([] if matrix else ["-x"]), *tier1_paths(tree)]
-        argv += DESELECT
+        argv += ["--continue-on-collection-errors", "-x", *tier1_paths(tree), *DESELECT]
         env = dict(os.environ, PYTHONPATH=str(tree / "src"))
         start = time.monotonic()
         try:
@@ -316,46 +286,34 @@ def run(mutant, matrix: bool):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--matrix", action="store_true", help="run every test and list all that fail")
-    args = parser.parse_args(argv)
+    # no options, so an unknown one is a usage error (exit 2), not ignored
+    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args(argv)
     # a test that fails without a mutant would count as a kill of every one
-    failed, seconds = run(None, args.matrix)
+    failed, seconds = run(None)
     if failed:
         print(f"tier-1 fails on the unmutated tree ({seconds:.1f} s); no mutant counted:",
               *failed, sep="\n    ")
         return 1
     print(f"unmutated tree passes tier-1 in {seconds:.1f} s")
-    survivors, kill_seconds, matrix = [], [], {}
-    for i in range(len(MUTANTS)):
-        file, _, _, breaks = MUTANTS[i]
-        label = f"#{i} {file}: {breaks}"
+    survivors, kill_seconds = [], []
+    for i, mutant in enumerate(MUTANTS):
+        label = f"#{i} {mutant[0]}: {mutant[3]}"
         try:
-            failed, seconds = run(MUTANTS[i], args.matrix)
+            failed, seconds = run(mutant)
         except (ValueError, SyntaxError) as exc:
             failed, seconds = [], 0.0
             label += f" [invalid: {exc}]"
-        matrix[label] = failed
         if failed:
             kill_seconds.append(seconds)
         else:
             survivors.append(label)
         verdict = "killed  " if failed else "SURVIVED"
-        if args.matrix:
-            print(f"{verdict} {seconds:6.1f} s  {label}: {len(failed)} failing", *failed, sep="\n    ")
-        else:
-            print(f"{verdict} {seconds:6.1f} s  {label}" + (f"  <- {failed[0]}" if failed else ""))
+        print(f"{verdict} {seconds:6.1f} s  {label}" + (f"  <- {failed[0]}" if failed else ""))
         sys.stdout.flush()
     if kill_seconds:
         print(f"{len(kill_seconds)} killed, {len(survivors)} not; seconds per killed mutant: median "
               f"{statistics.median(kill_seconds):.1f}, max {max(kill_seconds):.1f}, "
               f"total {sum(kill_seconds):.0f}")
-    if args.matrix:
-        sole, removable = summary(matrix, tier1_tests())
-        print("mutants that only one test kills:")
-        for test, labels in sole.items():
-            print(f"    {test}", *labels, sep="\n        ")
-        print(f"tests that can go, each once those before it went: {len(removable)}", *removable, sep="\n    ")
     return 1 if survivors else 0
 
 
