@@ -202,9 +202,6 @@ class QuantumRegister:
             return (q,), label
         return (min(p, q), max(p, q)), BELL_ORDER[label]
 
-    def live_qubits(self) -> list[int]:
-        return sorted(self._comp_of)
-
     # -- internals -------------------------------------------------------
 
     def _component(self, q: int) -> tuple:

@@ -12,7 +12,9 @@ its component snapshots through these vectors and the two basis vectors.
 
 It is the engine's one reference: `engine_state`, `assert_components_shared`,
 `FixedUniform` and `run_scripted_comparison` below are the helpers every test
-that compares the engine with the oracle calls.
+that compares the engine with the oracle calls, and `live_qubits` lists a
+register's qubits for them. `closed_cycles` counts the cycles of a Bell
+verification's assignment, which set the entanglement-swapping cycle law.
 """
 
 from __future__ import annotations
@@ -225,12 +227,33 @@ class FixedUniform:
         return self.u
 
 
+def live_qubits(register) -> list[int]:
+    """The ids of a QuantumRegister's qubits, in order."""
+    return sorted(register._comp_of)
+
+
+def closed_cycles(mapping) -> int:
+    """The closed cycles of a one-to-one map of slots to slots (a dict, full or
+    partial): the chains that come back to where they start. Verifying slot i
+    against pair mapping[i], all checks pass w.p. (1/4)^(slots - cycles)."""
+    seen, cycles = set(), 0
+    for start in mapping:
+        if start in seen:
+            continue
+        j = start
+        while j in mapping and j not in seen:
+            seen.add(j)
+            j = mapping[j]
+        cycles += j == start
+    return cycles
+
+
 def engine_state(eng, order):
     """The engine's full state: the tensor product of its component snapshots,
     read as amplitudes through the oracle's vectors, with the qubits in `order`
     (first qubit owns the most significant bit)."""
     qubits, amps = [], [1 + 0j]
-    for q in eng.live_qubits():
+    for q in live_qubits(eng):
         if q not in qubits:
             comp_qubits, comp_amps = snapshot_amplitudes(eng.component_snapshot(q))
             qubits += comp_qubits
@@ -246,7 +269,7 @@ def engine_state(eng, order):
 def assert_components_shared(eng):
     """Each live qubit's component lists it, and every qubit it lists reads
     the same snapshot: a component is one value bound to all of its qubits."""
-    for q in eng.live_qubits():
+    for q in live_qubits(eng):
         snapshot = eng.component_snapshot(q)
         assert q in snapshot[0]
         for p in snapshot[0]:
@@ -274,7 +297,7 @@ def run_scripted_comparison(seed, script_rng, steps=20, max_qubits=8):
         if op == "alloc":
             b = script_rng.randrange(2)
             assert eng.alloc_qubit(b) == orc.alloc_qubit(b)
-            live.append(eng.live_qubits()[-1])
+            live.append(live_qubits(eng)[-1])
         elif op == "bell":
             bs = script_rng.choice(list(BELL_ORDER))
             pair = eng.prepare_bell(bs)

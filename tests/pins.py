@@ -33,7 +33,7 @@ from sqdc.harness import (  # noqa: E402
 from sqdc.keys import gen_keys, random_bits  # noqa: E402
 from sqdc.protocol import Variant  # noqa: E402
 from sqdc.qsim import QuantumRegister  # noqa: E402
-from dense_oracle import snapshot_amplitudes  # noqa: E402
+from dense_oracle import live_qubits, snapshot_amplitudes  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DIGESTS = GOLDEN.parent / "pins.json"
@@ -163,7 +163,7 @@ def engine_stream(**overrides) -> str:
     text += [
         f"{q} {snapshot_amplitudes(register.component_snapshot(q))};"
         for register in registers
-        for q in register.live_qubits()
+        for q in live_qubits(register)
     ]
     return hashlib.sha256("".join(text).encode()).hexdigest()
 

@@ -20,7 +20,7 @@ from sqdc.keys import KeyMaterial, deinterleave, gen_keys, random_bits
 from sqdc.protocol import Variant, run_session
 from sqdc.qsim import BELL_ORDER, BellState, QuantumRegister
 
-from dense_oracle import run_scripted_comparison
+from dense_oracle import closed_cycles, run_scripted_comparison
 
 CHI2_CRIT_DF3_P01 = 11.345  # chi-square critical value, df=3, alpha=0.01
 
@@ -231,28 +231,14 @@ def _blind_guess_acceptance_exact() -> float:
     P(all pass) = (1/4)^(slots - cycles).
     """
     items = [("c", j) for j in range(4)] + [("s", j) for j in range(4)]
+    assignments = list(permutations(items, 4))
+    assert len(assignments) == 1680
     total = Fraction(0)
-    count = 0
-    for assign in permutations(items, 4):
+    for assign in assignments:
         to_pair = {i: lab[1] for i, lab in enumerate(assign) if lab[0] == "c"}
-        seen = set()
-        cycles = 0
-        for start in range(4):
-            if start in seen:
-                continue
-            path = []
-            j = start
-            while j in to_pair and j not in path and j not in seen:
-                path.append(j)
-                j = to_pair[j]
-            if path and j == path[0]:
-                cycles += 1
-            seen.update(path)
-            seen.add(start)
-        total += Fraction(1, 4) ** (4 - cycles)
-        count += 1
-    assert count == 1680
-    return float(total / count)  # 33/1792
+        total += Fraction(1, 4) ** (4 - closed_cycles(to_pair))
+    assert total / 1680 == Fraction(33, 1792)
+    return float(total / 1680)
 
 
 def test_criterion_9_blind_guess_acceptance_exact_oracle():

@@ -15,7 +15,7 @@ from sqdc.harness import ExperimentConfig, run_experiment
 from sqdc.keys import deinterleave, gen_keys, random_bits
 from sqdc.protocol import DetectionCause, Variant, run_session
 from sqdc.qsim import BellState, QuantumRegister
-from dense_oracle import DenseRegister
+from dense_oracle import DenseRegister, closed_cycles
 from pins import attack_of, make_config, trial_outcomes
 
 
@@ -204,7 +204,7 @@ class RecordingBypass(AttackStrategy):
 def test_bypassing_attack_receives_forward_sequence(variant):
     n = 16
     rng = Random(3)
-    keys = gen_keys(n, rng, include_k2=variant is Variant.RANDOMIZATION)
+    keys = gen_keys(n, rng, include_k2=variant.holds_k2)
     # Alice's check needs n/2 returned qubits in randomization, n in measure-resend
     attack = RecordingBypass(n // 2 if variant is Variant.RANDOMIZATION else n)
     outcome = run_session(variant, random_bits(n // 8, rng), keys, attack, QuantumRegister(7))
@@ -214,20 +214,6 @@ def test_bypassing_attack_receives_forward_sequence(variant):
 
 
 # -- reordered-reflection correlations ------------------------------------------
-
-
-def cycle_count(sigma):
-    seen = set()
-    cycles = 0
-    for start in range(len(sigma)):
-        if start in seen:
-            continue
-        cycles += 1
-        j = start
-        while j not in seen:
-            seen.add(j)
-            j = sigma[j]
-    return cycles
 
 
 @pytest.mark.parametrize(
@@ -251,5 +237,5 @@ def test_all_checks_pass_probability_follows_cycle_law(sigma):
     prob = 1.0
     for i, s in enumerate(initials):
         prob *= reg.force_bell(pairs[i][0], pairs[sigma[i]][1], s)
-    expected = 0.25 ** (len(sigma) - cycle_count(sigma))
+    expected = 0.25 ** (len(sigma) - closed_cycles(dict(enumerate(sigma))))
     assert abs(prob - expected) < 1e-12

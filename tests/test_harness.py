@@ -82,53 +82,56 @@ def test_analytic_no_closed_form():
     assert closed_form(n=32, **s_msg) == (None, None)
 
 
-def test_analytic_unknown_attack():
-    for overrides in (
-        {"attack": "time_travel"},
-        {"n": 3},
-        {"attack": "reflect_all"},  # randomization variant
-        {"attack": "intercept_resend", "attack_params": {"mode": "concrete"}},
-    ):
-        with pytest.raises(ConfigError):
-            closed_form(**overrides)
-
-
 # -- configuration validation ----------------------------------------------------------
 
 
+INVALID = [
+    ({"n": 12}, "n"),
+    ({"n": 8}, "n"),
+    ({"n": 3}, "n"),
+    ({"n": 2056}, "n"),  # n/8 checksum bits would outgrow SHA-256's 256
+    ({"n": "16"}, "n"),
+    ({"trials": 0}, "trials"),
+    ({"trials": 2.5}, "trials"),
+    ({"trials": True}, "trials"),
+    ({"seed": "1"}, "seed"),
+    ({"seed": 1.5}, "seed"),
+    ({"variant": "randomization"}, "variant"),  # a str, not a Variant
+    ({"attack": "nope"}, "attack"),
+    ({"attack": ["no_attack"]}, "attack"),
+    ({"attack": "reflect_all"}, "attack"),  # measure-resend only
+    ({"attack_params": {"bogus": 1}}, "attack_params"),
+    ({"attack_params": ["mode"]}, "attack_params"),
+    ({"attack": "intercept_resend", "attack_params": {"mode": "concrete"}}, "mode"),
+    ({"attack": "impersonate_bob", "attack_params": {"mode": "teleport"}}, "mode"),
+    *(
+        ({"attack": "modify_single", "attack_params": {"target": target}}, "target")
+        for target in ("everything", 999, -1, 16, True)  # n = 16
+    ),
+    ({"n": 96, "message": "ab"}, "message"),  # 12 bits need 3 digits
+    ({"n": 32, "message": "ab"}, "message"),  # 4 bits need exactly 1
+    ({"message": "0f"}, "message"),  # n/8 = 2 bits take 1 digit
+    *(({"message": message}, "message") for message in ("-f", "0xf", "zz", 3)),
+]
+
+
+def document(**overrides) -> str:
+    return json.dumps(session_doc(**overrides)[0])
+
+
 @pytest.mark.parametrize(
-    "overrides",
-    [
-        {"n": 12},
-        {"n": 8},
-        {"trials": 0},
-        {"attack": "nope"},
-        {"attack": "reflect_all"},  # randomization variant
-        {"attack": "impersonate_bob", "attack_params": {"mode": "teleport"}},
-        {"attack": "modify_single", "attack_params": {"target": "everything"}},
-        {"message": "ab"},  # 2 digits: too few at n=96, too many at n=32
-        {"attack_params": {"bogus": 1}},
-        {"attack": "modify_single", "attack_params": {"target": 999}},
-        {"attack": "modify_single", "attack_params": {"target": -1}},
-        {"attack": "modify_single", "attack_params": {"target": 16}},  # n = 16
-        {"attack": "modify_single", "attack_params": {"target": True}},
-        {"message": "-f"},
-        {"message": "0xf"},
-        {"variant": "randomization"},  # a str, not a Variant
-        {"trials": 2.5},
-        {"trials": True},
-        {"seed": "1"},
-    ],
+    "overrides, field",
+    INVALID,
+    ids=lambda v: json.dumps(v, separators=(",", ":")) if isinstance(v, dict) else None,
 )
-def test_config_validation_rejects(overrides):
-    configs = [make_config(**overrides)]
-    if overrides == {"message": "ab"}:
-        # 12 message bits need 3 digits, and 4 bits need exactly 1
-        configs = [make_config(n=96, message="ab"), make_config(n=32, message="ab")]
-    for config in configs:
-        # the error names a field the case set
-        with pytest.raises(ConfigError, match="|".join(overrides)):
-            config.validate()
+def test_config_validation_rejects(overrides, field):
+    with pytest.raises(ConfigError, match=rf"\b{field}\b") as from_run:
+        make_config(**overrides).validate()
+    # a document runs one trial and names its variant as text; else it fails alike
+    if not {"trials", "variant"} & overrides.keys():
+        with pytest.raises(ConfigError) as from_doc:
+            load_session_config(document(**overrides))
+        assert str(from_doc.value) == str(from_run.value)
 
 
 def test_config_validation_accepts_good():
@@ -287,68 +290,54 @@ def test_session_from_config_with_attack():
     assert run_document(doc).bob_accepts is True  # parity survives Z measurement
 
 
-def test_session_config_parsing_errors():
-    with pytest.raises(ConfigError):
-        load_session_config("{not json")
+REJECTED_DOCUMENTS = {
+    "not-json": ("{not json", "^malformed session config: "),
     # past CPython's int digit limit and its recursion limit: not a bare
     # ValueError or RecursionError
-    for text in ('{"seed": ' + "1" * 4301 + "}", "[" * 100000):
-        with pytest.raises(ConfigError, match="malformed session config"):
-            load_session_config(text)
+    "int-digit-limit": ('{"seed": ' + "1" * 4301 + "}", "^malformed session config: "),
+    "nesting-depth": ("[" * 100000, "^malformed session config: "),
+    "not-an-object": ("[]", "^session config must be a JSON object$"),
+    "missing-keys": (
+        json.dumps({"variant": "randomization", "n": 16}), "^session config missing 'message'$"
+    ),
     # a repeated key, at the top or nested, would drop its earlier value
-    doc, _ = session_doc()
-    text = json.dumps(doc)[:-1] + ', "variant": "measure-resend"}'
-    with pytest.raises(ConfigError, match="repeated key 'variant'"):
-        load_session_config(text)
-    doc, _ = session_doc(attack="impersonate_bob", attack_params={"mode": "idealized"})
-    text = json.dumps(doc).replace('"idealized"}', '"idealized", "mode": "concrete"}')
-    with pytest.raises(ConfigError, match="repeated key 'mode'"):
-        load_session_config(text)
-    with pytest.raises(ConfigError):
-        load_session_config(json.dumps({"variant": "randomization", "n": 16}))
-    doc, _ = session_doc(k1="ffff")  # unbalanced
-    with pytest.raises(ConfigError):
-        run_document(doc)
-    # full size (balanced k1, k2 of n/2 bits), but n/8 bits outgrow SHA-256
-    doc, _ = session_doc(n=2056, message="0" * 65, k1="0" * 257 + "f" * 257, k2="0" * 257)
-    with pytest.raises(ConfigError, match="2048"):
-        run_document(doc)
-    with pytest.raises(ConfigError):
-        load_session_config("[]")
-    # the fields a run's configuration shares are test_session_document_shares_run_validator's
-    for overrides in (
-        {"message": None},  # random per trial in a run; a document needs one
-        {"k2": None},  # randomization needs k2
-        {"attack": ["no_attack"]},
-        {"variant": "teleportation"},
-        {"variant": ["randomization"]},
-        {"attack": "modify_single", "attack_params": {"target": 16}},
-        {"attack": "impersonate_bob", "attack_params": {"mode": "teleport"}},
-    ):
-        doc, _ = session_doc(**overrides)
-        with pytest.raises(ConfigError):
-            run_document(doc)
-    # a key error names the key, as a message error does
-    for key, overrides in (
-        ("k1", {"k1": "zzzz"}),
-        ("k2", {"k2": "f"}),  # too short
-        # one surplus digit each: rejected, not dropped
-        ("k1", {"k1": "00ff0"}),
-        ("k2", {"k2": "0f0"}),
-        # present but falsy: not a missing k2
-        ("k2", {"k2": ""}),
-        ("k2", {"k2": 0}),
-        # a non-null k2 on measure-resend, which the run would drop
-        ("k2", {"variant": "measure-resend"}),
-    ):
-        doc, _ = session_doc(**overrides)
-        with pytest.raises(ConfigError, match=f"^{key}: "):
-            run_document(doc)
+    "repeated-key": (document()[:-1] + ', "variant": "measure-resend"}', "repeated key 'variant'"),
+    "repeated-nested-key": (
+        document(attack="impersonate_bob", attack_params={"mode": "idealized"})
+        .replace('"idealized"}', '"idealized", "mode": "concrete"}'),
+        "repeated key 'mode'",
+    ),
     # an unknown key, which the run would ignore (this one would run an honest
     # session), is rejected by name
-    doc, _ = session_doc(atack="intercept_resend")
-    with pytest.raises(ConfigError, match="'atack'"):
-        run_document(doc)
+    "unknown-key": (document(atack="intercept_resend"), "^session config has unknown key 'atack'$"),
+    "unknown-variant": (document(variant="teleportation"), "^unknown variant 'teleportation'$"),
+    "variant-list": (document(variant=["randomization"]), r"^unknown variant \['randomization'\]$"),
+    "null-message": (document(message=None), "^message: "),  # random per trial in a run
+    # full size (balanced k1, k2 of n/2 bits), but n/8 bits outgrow SHA-256
+    "n-2056": (
+        document(n=2056, message="0" * 65, k1="0" * 257 + "f" * 257, k2="0" * 257),
+        r"^n must .*\.\.2048, got 2056$",
+    ),
+    "unbalanced-k1": (document(k1="ffff"), "^k1 must be a balanced"),
+    # a key error names the key, as a message error does
+    "k1-not-hex": (document(k1="zzzz"), "^k1: "),
+    "short-k2": (document(k2="f"), "^k2: "),
+    "null-k2": (document(k2=None), "^k2: "),  # randomization needs k2
+    # one surplus digit each: rejected, not dropped
+    "k1-surplus-digit": (document(k1="00ff0"), "^k1: "),
+    "k2-surplus-digit": (document(k2="0f0"), "^k2: "),
+    # present but falsy: not a missing k2
+    "empty-k2": (document(k2=""), "^k2: "),
+    "zero-k2": (document(k2=0), "^k2: "),
+    # a non-null k2 on measure-resend, which the run would drop
+    "k2-on-measure-resend": (document(variant="measure-resend"), "^k2: "),
+}
+
+
+@pytest.mark.parametrize("text, match", REJECTED_DOCUMENTS.values(), ids=REJECTED_DOCUMENTS)
+def test_rejected_document(text, match):
+    with pytest.raises(ConfigError, match=match):
+        load_session_config(text)
 
 
 @pytest.mark.parametrize("variant", Variant)
@@ -364,33 +353,6 @@ def test_misfit_k2_has_one_text(variant):
     with pytest.raises(ConfigError) as from_doc:
         run_document(doc)
     assert str(from_doc.value) == f"k2: {from_api.value}"
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("n", 12),
-        ("n", 2056),
-        ("n", "16"),
-        ("seed", "5"),
-        ("seed", 1.5),
-        ("attack", "time_travel"),
-        ("attack", "reflect_all"),  # randomization variant
-        ("attack_params", {"bogus": 1}),
-        ("attack_params", ["mode"]),
-        ("message", "zz"),
-        ("message", "-f"),
-        ("message", 3),
-        ("message", "0f"),  # n/8 = 2 bits take 1 digit
-    ],
-)
-def test_session_document_shares_run_validator(field, value):
-    with pytest.raises(ConfigError) as from_run:
-        make_config(**{field: value}).validate()
-    doc, _ = session_doc(**{field: value})
-    with pytest.raises(ConfigError) as from_doc:
-        run_document(doc)
-    assert str(from_doc.value) == str(from_run.value)
 
 
 def test_max_n_runs_one_trial():

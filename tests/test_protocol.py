@@ -23,7 +23,7 @@ from pins import attack_of, make_config, trial_outcomes
 
 def make_session(n, seed, variant=Variant.RANDOMIZATION):
     rng = Random(seed)
-    keys = gen_keys(n, rng, include_k2=variant is Variant.RANDOMIZATION)
+    keys = gen_keys(n, rng, include_k2=variant.holds_k2)
     m = random_bits(n // 8, rng)
     register = QuantumRegister(seed * 7919 + 1)
     session, q_seq = alice_prepare(m, keys, register, variant)

@@ -18,6 +18,7 @@ from dense_oracle import (
     DenseRegister,
     FixedUniform,
     engine_state,
+    live_qubits,
     run_scripted_comparison,
     snapshot_amplitudes,
     states_equal,
@@ -64,12 +65,12 @@ def test_register_rejects(call, message):
     reg = QuantumRegister(0)
     reg.alloc_qubit(0)
     reg.prepare_bell(BellState.PHI_PLUS)
-    snapshots = [reg.component_snapshot(q) for q in reg.live_qubits()]
+    snapshots = [reg.component_snapshot(q) for q in live_qubits(reg)]
     state = reg.rng.getstate()
     with pytest.raises(ValueError, match=message):
         call(reg)
     # a refused call changes no component and draws nothing
-    assert [reg.component_snapshot(q) for q in reg.live_qubits()] == snapshots
+    assert [reg.component_snapshot(q) for q in live_qubits(reg)] == snapshots
     assert reg.rng.getstate() == state
 
 
@@ -177,14 +178,14 @@ def test_bell_measure_closed_form_at_boundaries(law, u):
         qa, qb = setup(eng)
         assert setup(orc) == (qa, qb)
         state = eng.rng.getstate()
-        snapshots = [eng.component_snapshot(q) for q in eng.live_qubits()]
+        snapshots = [eng.component_snapshot(q) for q in live_qubits(eng)]
         probs = eng.bell_probabilities(qa, qb)
         reference = orc.bell_probabilities(qa, qb)
         assert list(probs) == list(BELL_ORDER)
         assert all(abs(probs[bs] - reference[bs]) < 1e-12 for bs in BELL_ORDER), (qa, qb)
         assert eng.rng.getstate() == state
-        assert [eng.component_snapshot(q) for q in eng.live_qubits()] == snapshots
-        unknown = len(eng.live_qubits())
+        assert [eng.component_snapshot(q) for q in live_qubits(eng)] == snapshots
+        unknown = len(live_qubits(eng))
         for bad, message in (((qa, qa), "distinct"), ((qa, unknown), f"id {unknown}$")):
             with pytest.raises(ValueError, match=message):
                 eng.bell_probabilities(*bad)
@@ -285,9 +286,9 @@ def test_sequence_calls_equal_successive_calls():
                 assert outcomes == tuple(b for q in qubits for b in one.measure_z(q))
                 assert outcomes == tuple(orc.measure_z(q) for q in qubits)
             assert states_equal(engine_state(seq, orc.qubits), orc.amps)
-        assert seq.live_qubits() == one.live_qubits()
-        assert [seq.component_snapshot(q) for q in seq.live_qubits()] == [
-            one.component_snapshot(q) for q in one.live_qubits()
+        assert live_qubits(seq) == live_qubits(one)
+        assert [seq.component_snapshot(q) for q in live_qubits(seq)] == [
+            one.component_snapshot(q) for q in live_qubits(one)
         ]
         assert seq.rng.getstate() == one.rng.getstate()
 
@@ -298,7 +299,7 @@ def test_empty_sequence_calls_draw_nothing():
     state = reg.rng.getstate()
     assert reg.prepare_bell() == () and reg.measure_z() == ()
     assert reg.rng.getstate() == state
-    assert reg.live_qubits() == [0, 1] and reg.prepare_bell(BellState.PHI_PLUS) == (2, 3)
+    assert live_qubits(reg) == [0, 1] and reg.prepare_bell(BellState.PHI_PLUS) == (2, 3)
 
 
 def test_bad_state_in_sequence_allocates_nothing():
@@ -306,4 +307,4 @@ def test_bad_state_in_sequence_allocates_nothing():
     reg.prepare_bell(BellState.PSI_MINUS)
     with pytest.raises(ValueError):
         reg.prepare_bell(BellState.PHI_PLUS, "phi+", BellState.PSI_PLUS)
-    assert reg.live_qubits() == [0, 1] and reg.alloc_qubit(0) == 2
+    assert live_qubits(reg) == [0, 1] and reg.alloc_qubit(0) == 2
